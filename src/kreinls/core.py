@@ -54,8 +54,8 @@ class Tolerances:
 # ---------------------------------------------------------------------------
 
 def herm(a):
-    """Hermitian part (a + a*)/2."""
-    return (a + a.conj().T) / 2.0
+    """Hermitian part (a + a*)/2, of each matrix in a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def spectral_norm(a):
@@ -75,12 +75,13 @@ def ordered_eigh(a):
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-8)
-        if nz.size:
-            pivot = col[nz[0]]
-            v[:, k] = col * (abs(pivot) / pivot)
+    if v.size:  # unit columns: each has an entry of magnitude >= n^(-1/2) > 1e-8
+        first = (np.abs(v) > 1e-8).argmax(axis=0)
+        pivot = v[first, np.arange(v.shape[1])]
+        # hypot rounds like abs() of a complex scalar (np.abs does not always),
+        # and v is Fortran-ordered, so each column meets its phase as one
+        # scalar factor: the bits are those of the per-column product
+        v = v * (np.hypot(pivot.real, pivot.imag) / pivot)
     return w, v
 
 

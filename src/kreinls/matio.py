@@ -42,6 +42,9 @@ def matrix_from_json(obj):
                 out[i, j] = complex(float(cell[0]), float(cell[1]))
             except (TypeError, ValueError) as exc:
                 raise ParseError("matrix entry (%d, %d) is not numeric" % (i, j)) from exc
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        raise ParseError("matrix entry (%d, %d) is not finite" % tuple(bad[0]))
     return out
 
 

@@ -48,6 +48,7 @@ ERROR_CASES = [
     ["adjoint", "--space", "gram_nonherm.json", "--b", "b1.json"],
     ["adjoint", "--space", "m2.json", "--b", "eye4.json"],  # dimension mismatch
     ["project", "sideways", "--space", "m2.json", "--subspace", "span_e1.json"],
+    ["oracle", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--x", "x_nan.json"],
 ]
 
 

@@ -59,6 +59,41 @@ def test_ordered_eigh_is_deterministic():
     assert np.all(np.diff(w1) <= 0)
 
 
+def _ordered_eigh_loop(a):
+    """Reference: ordered_eigh with the phase fixed one column at a time."""
+    w, v = np.linalg.eigh(a)
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    v = v[:, order]
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-8)
+        if nz.size:
+            pivot = col[nz[0]]
+            v[:, j] = col * (abs(pivot) / pivot)
+    return w, v
+
+
+def test_ordered_eigh_matches_column_loop():
+    rng = np.random.default_rng(12)
+    cases = [np.zeros((0, 0)), np.zeros((3, 3)), np.diag([2.0, -1.0, 2.0])]
+    for n in range(1, 8):
+        for scale in (0.0, 1e-12, 1.0):
+            # the off-diagonal block sets how far eigenvectors of one block
+            # leak into the leading entries: none, below 1e-8, or fully
+            a = gaussian(rng, (n, n))
+            a = a + a.conj().T
+            a[: n // 2, n // 2 :] *= scale
+            a[n // 2 :, : n // 2] *= scale
+            cases.append(a)
+    for a in cases:
+        w_ref, v_ref = _ordered_eigh_loop(a)
+        w, v = k.core.ordered_eigh(a)
+        assert w.tobytes() == w_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+        assert v.flags.f_contiguous == v_ref.flags.f_contiguous
+
+
 # ---------------------------------------------------------------------------
 # adjoints
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kreinls as k
 from conftest import gaussian
+from kreinls.core import nullspace_matrix, spectral_norm
+from kreinls.oracle import Certificate, _ims_value
 
 
 def test_positivity_fixtures(m2):
@@ -77,6 +80,123 @@ def test_certify_min_deterministic(m4):
     assert c1.min_eigen_seen == c2.min_eigen_seen
     if c1.witness is not None:
         assert np.array_equal(c1.witness, c2.witness)
+
+
+def _certify_min_loop(b, c, x0, trials=1000, seed=0):
+    """Reference: certify_min as a loop that tests one competitor per trial."""
+    sp = b.space
+    n = sp.dim
+    rng = np.random.default_rng(seed)
+    v0 = _ims_value(b, c, x0)
+    g = sp.gram
+    base = max(spectral_norm(g @ v0.matrix), 1.0)
+    kernel = nullspace_matrix(sp, (b.adjoint() @ b).matrix)
+
+    def draw(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    min_seen = np.inf
+    for trial in range(trials):
+        mode = trial % 3
+        if mode == 0:
+            x = sp.operator(draw((n, n)))
+        elif mode == 1:
+            bump = np.zeros((n, n), dtype=complex)
+            bump[rng.integers(n), rng.integers(n)] = draw(())
+            x = sp.operator(x0.matrix + bump)
+        else:
+            coeff = draw((kernel.shape[1], n)) if kernel.shape[1] else np.zeros((0, n))
+            x = sp.operator(x0.matrix + kernel @ coeff)
+        delta = (_ims_value(b, c, x) - v0).matrix
+        gd = g @ delta
+        scale = max(spectral_norm(gd), base)
+        if spectral_norm(gd - gd.conj().T) > sp.tol.sym * scale:
+            return Certificate(False, x.matrix, trial + 1, float(min_seen))
+        lam = float(np.linalg.eigvalsh((gd + gd.conj().T) / 2.0)[0])
+        min_seen = min(min_seen, lam)
+        if lam < -sp.tol.num * scale:
+            return Certificate(False, x.matrix, trial + 1, lam)
+    if not np.isfinite(min_seen):
+        min_seen = 0.0
+    return Certificate(True, None, trials, float(min_seen))
+
+
+def _oracle_instance(seed, n, p, cond=0.0, rank=None, solve=False):
+    """(B, C, X0) in a space of inertia (p, n - p) with Gram condition 10^(2 cond).
+
+    Columns of B from `rank` on are zero; with solve=True, X0 is the
+    solve_ims solution, otherwise a Gaussian matrix.
+    """
+    rng = np.random.default_rng(seed)
+    d = np.concatenate([np.ones(p), -np.ones(n - p)]) * np.logspace(-cond, cond, n)
+    q, _ = np.linalg.qr(gaussian(rng, (n, n)))
+    g = q @ np.diag(d) @ q.conj().T
+    sp = k.make_space((g + g.conj().T) / 2.0)
+    m = gaussian(rng, (n, n))
+    if rank is not None:
+        m[:, rank:] = 0.0
+    b = sp.operator(m)
+    c = sp.operator(gaussian(rng, (n, n)))
+    x0 = k.solve_ims(b, c).solution if solve else sp.operator(gaussian(rng, (n, n)))
+    return b, c, x0
+
+
+# (instance, trials, what the reference gives); chunks cover trials 1, 2-3, 4-7,
+# 8-15, ... and at n = 40 at most 65536 // 40**2 = 40 trials
+ORACLE_REFERENCE_CASES = [
+    *[((1, 3, 3, 0.0, 2, True), t, "accept") for t in (0, 1, 2, 3, 7, 8, 1000)],
+    ((2, 3, 3, 0.0, None, True), 1000, "accept"),  # N(B#B) = {0}
+    ((2, 3, 2, 0.0, 0, False), 1000, "accept"),  # B = 0: N(B#B) is everything
+    ((3, 3, 1, 0.0, None, False), 1000, "reject at 1"),
+    ((2, 2, 2, 3.0, None, True), 60, "reject later"),  # eigenvalue test, trial 5
+    ((36, 2, 2, 3.0, None, True), 60, "reject later"),  # eigenvalue test, trial 14
+    ((4, 2, 2, 3.0, None, True), 60, "reject at 1"),  # skew test, nothing seen yet
+    ((3, 2, 2, 3.0, None, True), 60, "reject later"),  # skew test, first of a chunk
+    ((14, 2, 2, 3.0, None, True), 60, "reject later"),  # skew test, inside a chunk
+    ((8, 3, 3, 3.0, None, True), 60, "reject later"),  # skew test, own eigenvalue lowest
+    ((4, 40, 40, 0.0, 30, True), 300, "accept"),  # the chunk cap binds
+]
+
+
+@pytest.mark.parametrize(
+    "args,trials,outcome", ORACLE_REFERENCE_CASES,
+    ids=["seed%d-n%d-trials%d" % (a[0], a[1], t) for a, t, _ in ORACLE_REFERENCE_CASES],
+)
+def test_certify_min_matches_per_trial_reference(args, trials, outcome):
+    b, c, x0 = _oracle_instance(*args)
+    ref = _certify_min_loop(b, c, x0, trials=trials, seed=0)
+    got = k.certify_min(b, c, x0, trials=trials, seed=0)
+    if outcome == "accept":
+        assert ref.verdict and ref.trials == trials
+    elif outcome == "reject at 1":
+        assert not ref.verdict and ref.trials == 1
+    else:
+        assert not ref.verdict and ref.trials > 3
+    assert got.verdict == ref.verdict
+    assert got.trials == ref.trials
+    assert got.min_eigen_seen == ref.min_eigen_seen
+    if ref.witness is None:
+        assert got.witness is None
+    else:
+        assert np.array_equal(got.witness, ref.witness)
+
+
+def test_certify_min_rejects_negative_trials(m2):
+    b = m2.operator(np.diag([1.0, 0.0]))
+    c = m2.eye()
+    x0 = k.solve_ims(b, c).solution
+    with pytest.raises(k.KreinError):
+        k.certify_min(b, c, x0, trials=-5)
+    with pytest.raises(k.KreinError):
+        k.verify_ims(x0, b, c, trials=-1)
+    assert k.certify_min(b, c, x0, trials=0) == k.Certificate(True, None, 0, 0.0)
+
+
+def test_certify_min_non_finite_competitor_is_an_error(m2):
+    # (B X - B)#(B X - B) overflows for every competitor X != I
+    b = m2.operator(1e160 * np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(k.KreinError):
+        k.certify_min(b, b, m2.eye(), trials=50)
 
 
 def test_hilbert_limit_random_suite():
