@@ -516,6 +516,18 @@ def contains_columns(s, columns):
     return s.space.rank(stacked) == s.dim
 
 
+def sum_with_companion_contains(s, columns):
+    """Columns lie in S + S^[⊥] = (S ∩ S^[⊥])^[⊥]: the solvers' feasibility test.
+
+    The columns must be Krein-orthogonal to the isotropic part of S, up to
+    the neutral cutoff that decides isotropy, relative to the columns' norm.
+    """
+    cols = np.asarray(columns, dtype=complex)
+    iso = isotropic_part(s).basis
+    cut = s.space.neutral_cutoff() * spectral_norm(cols)
+    return spectral_norm(iso.conj().T @ s.space.gram @ cols) <= cut
+
+
 def subspace_sum(s1, s2):
     return subspace_from_spanning(s1.space, np.hstack([s1.basis, s2.basis]))
 

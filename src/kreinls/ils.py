@@ -14,17 +14,15 @@ import numpy as np
 
 from .core import (
     Operator,
-    contains_columns,
     full_subspace,
     herm,
     hilbert_pinv,
     isotropic_part,
     nullspace_of,
-    orthogonal_companion,
     range_of,
     spectral_norm,
-    subspace_sum,
     subspace_within,
+    sum_with_companion_contains,
 )
 from .oracle import certify_min
 from .projections import normal_projection, selfadjoint_projection
@@ -113,28 +111,19 @@ def _value_spectrum(value):
     return np.linalg.eigvalsh(herm(value.space.gram @ value.matrix))
 
 
-def _inclusion_in_range_plus_companion(c, range_sub):
-    return contains_columns(subspace_sum(range_sub, orthogonal_companion(range_sub)), c.matrix)
-
-
-def _value_certificates(b, c, x0, value, range_sub):
+def _value_certificates(b, c, x0, value, range_sub, inclusion):
     """Closed-form cross-checks attached to min/max reports."""
     certs = {"value_spectrum": _value_spectrum(value)}
-    cls = range_sub.classification
-    if cls.regular:
-        q = selfadjoint_projection(range_sub).op
-        closed = c.adjoint() @ (c.space.eye() - q) @ c
-        certs["value_formula_residual"] = (value - closed).norm() / max(1.0, value.norm())
-    elif cls.nonnegative or cls.nonpositive:
-        iso = isotropic_part(range_sub)
-        rhs_ok = contains_columns(orthogonal_companion(iso), c.matrix)
-        certs["isotropic_companion_contains_rhs"] = rhs_ok
-        q = normal_projection(range_sub).op
-        if rhs_ok:
-            closed = c.adjoint() @ (c.space.eye() - q) @ c
-            certs["value_formula_residual"] = (value - closed).norm() / max(1.0, value.norm())
+    regular = range_sub.classification.regular
+    if not regular:
+        # R(B) + R(B)^[⊥] is the isotropic part's companion: the feasibility condition
+        certs["isotropic_companion_contains_rhs"] = inclusion
+    q = (selfadjoint_projection if regular else normal_projection)(range_sub).op
+    closed = c.adjoint() @ (c.space.eye() - q) @ c
+    certs["value_formula_residual"] = (value - closed).norm() / max(1.0, value.norm())
+    if not regular:
         certs["isotropic_containment"] = subspace_within(
-            range_of(b @ x0 - q @ c), iso
+            range_of(b @ x0 - q @ c), isotropic_part(range_sub)
         )
     return certs
 
@@ -152,7 +141,7 @@ def _solve_extremal(b, c, sign_condition, sign_reason, seed):
 
     range_sub = range_of(b)
     cls = range_sub.classification
-    inclusion = _inclusion_in_range_plus_companion(c, range_sub)
+    inclusion = sum_with_companion_contains(range_sub, c.matrix)
     sign_ok = sign_condition(cls)
     conditions = {"range_inclusion": inclusion, sign_reason[0]: sign_ok}
     reason = _join_reasons([(inclusion, REASON_INCLUSION), (sign_ok, sign_reason[1])])
@@ -162,7 +151,7 @@ def _solve_extremal(b, c, sign_condition, sign_reason, seed):
     x0, residual = normal_equation_solution(b, c)
     value = _attained_value(b, c, x0)
     manifold = SolutionManifold(x0, nullspace_of(b.adjoint() @ b))
-    certs = _value_certificates(b, c, x0, value, range_sub)
+    certs = _value_certificates(b, c, x0, value, range_sub, inclusion)
     return SolveReport(True, None, conditions, manifold, value, residual, certs, seed)
 
 
@@ -206,20 +195,27 @@ def indefinite_inverse(b, seed=0):
 
 
 def indefinite_inverse_in_range(b, c, seed=0):
-    """Solve B#(BX - C) = 0; feasible iff R(C) ⊆ R(B) + R(B)^[⊥]."""
+    """Solve B#(BX - C) = 0 with no sign condition; minmax.solve_immso is this solver.
+
+    Feasible iff R(C) ⊆ R(B) + R(B)^[⊥] = (R(B) ∩ R(B)^[⊥])^[⊥], i.e. iff C is
+    Krein-orthogonal to the isotropic part of R(B). X0 is the min-max Z1 part.
+    """
     range_sub = range_of(b)
-    inclusion = _inclusion_in_range_plus_companion(c, range_sub)
+    inclusion = sum_with_companion_contains(range_sub, c.matrix)
     conditions = {"range_inclusion": inclusion}
     if not inclusion:
         return SolveReport(False, REASON_INCLUSION, conditions, None, None, 0.0, {}, seed)
 
     x0, residual = normal_equation_solution(b, c)
-    certs = {}
+    value = _attained_value(b, c, x0)
+    certs = {"value_spectrum": _value_spectrum(value)}
     if range_sub.classification.regular:
         q = selfadjoint_projection(range_sub).op
+        closed = c.adjoint() @ (c.space.eye() - q) @ c
+        certs["value_formula_residual"] = (value - closed).norm() / max(1.0, value.norm())
         certs["projected_equation_residual"] = (b @ x0 - q @ c).norm()
     manifold = SolutionManifold(x0, nullspace_of(b.adjoint() @ b))
-    return SolveReport(True, None, conditions, manifold, None, residual, certs, seed)
+    return SolveReport(True, None, conditions, manifold, value, residual, certs, seed)
 
 
 def solve_ims(b, c, seed=0):

@@ -14,18 +14,14 @@ import scipy.linalg
 
 from .core import (
     Operator,
-    contains_columns,
     decompose_subspace,
     herm,
     neutral_range,
-    nullspace_of,
-    orthogonal_companion,
     range_of,
-    subspace_sum,
+    sum_with_companion_contains,
 )
 from .errors import InfeasibleInstance, SpaceMismatch
-from .ils import SolutionManifold, SolveReport, normal_equation_solution
-from .projections import selfadjoint_projection
+from .ils import indefinite_inverse_in_range, normal_equation_solution
 
 
 @dataclass(frozen=True)
@@ -56,30 +52,7 @@ def split_operator(b):
     return OperatorSplit(compress(s_plus), compress(s_minus), s_plus, s_minus)
 
 
-def solve_immso(b, c, seed=0):
-    """Stationary (min-max) problem: B#(BZ - C) = 0 with no sign condition.
-
-    Feasible iff R(C) ⊆ R(B) + R(B)^[⊥]. The minimum-norm particular
-    solution doubles as the Z1 component; the Z2 = Z0 - Z1 part ranges
-    over N(B#B).
-    """
-    range_sub = range_of(b)
-    inclusion = contains_columns(
-        subspace_sum(range_sub, orthogonal_companion(range_sub)), c.matrix
-    )
-    conditions = {"range_inclusion": inclusion}
-    if not inclusion:
-        return SolveReport(False, "RangeInclusionFails", conditions, None, None, 0.0, {}, seed)
-
-    z1, residual = normal_equation_solution(b, c)
-    value = (b @ z1 - c).adjoint() @ (b @ z1 - c)
-    manifold = SolutionManifold(z1, nullspace_of(b.adjoint() @ b))
-    certs = {"value_spectrum": np.linalg.eigvalsh(herm(b.space.gram @ value.matrix))}
-    if range_sub.classification.regular:
-        q = selfadjoint_projection(range_sub).op
-        closed = c.adjoint() @ (c.space.eye() - q) @ c
-        certs["value_formula_residual"] = (value - closed).norm() / max(1.0, value.norm())
-    return SolveReport(True, None, conditions, manifold, value, residual, certs, seed)
+solve_immso = indefinite_inverse_in_range  # the stationary problem B#(BZ - C) = 0
 
 
 def verify_immso(z0, b, c, j=None, seed=0):
@@ -91,10 +64,7 @@ def verify_immso(z0, b, c, j=None, seed=0):
     the check in that decomposition's metric.
     """
     sp = b.space
-    range_sub = range_of(b)
-    if not contains_columns(
-        subspace_sum(range_sub, orthogonal_companion(range_sub)), c.matrix
-    ):
+    if not sum_with_companion_contains(range_of(b), c.matrix):
         raise InfeasibleInstance("stationary problem has no solution for this right-hand side")
     metric = None
     if j is not None:
@@ -135,10 +105,7 @@ def minmax_value_identity(b, c):
     """
     if b.space is not c.space:
         raise SpaceMismatch("operators live on different spaces")
-    range_sub = range_of(b)
-    if not contains_columns(
-        subspace_sum(range_sub, orthogonal_companion(range_sub)), c.matrix
-    ):
+    if not sum_with_companion_contains(range_of(b), c.matrix):
         raise InfeasibleInstance("min-max problem has no solution for this right-hand side")
 
     split = split_operator(b)

@@ -76,8 +76,9 @@ def certify_min(b, c, x0, trials=1000, seed=0):
     stacked (T, n, n) arrays: chunks start at one trial and double, up to
     2^16 matrix entries per stack. The random stream and the certificate
     (verdict, first failing trial, its witness, min_eigen_seen) are those of
-    testing each competitor in turn and stopping at the first failure. A
-    competitor whose value is not finite raises KreinError.
+    testing each competitor in turn and stopping at the first failure;
+    min_eigen_seen is 0.0 when no eigenvalue was seen. A competitor whose
+    value is not finite raises KreinError.
     """
     if trials < 0:
         raise KreinError("trials must be nonnegative, got %d" % trials)
@@ -94,6 +95,7 @@ def certify_min(b, c, x0, trials=1000, seed=0):
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
     min_seen = np.inf
+    witness = None
     done = 0
     size = 1
     while done < trials:
@@ -127,14 +129,15 @@ def certify_min(b, c, x0, trials=1000, seed=0):
             i = int(failed[0])
             if not finite[i]:
                 raise KreinError("competitor %d has a non-finite value" % (done + i + 1))
-            seen = lam[i] if not skewed[i] else min(min_seen, lam[:i].min(initial=np.inf))
-            return Certificate(False, xs[i].copy(), done + i + 1, float(seen))
+            min_seen = lam[i] if not skewed[i] else min(min_seen, lam[:i].min(initial=np.inf))
+            witness, done = xs[i].copy(), done + i + 1
+            break
         min_seen = min(min_seen, lam.min())
         done += count
         size *= 2
-    if not np.isfinite(min_seen):
-        min_seen = 0.0
-    return Certificate(True, None, trials, float(min_seen))
+    # no eigenvalue seen (no trials, or a skew failure at the first one)
+    seen = float(min_seen) if np.isfinite(min_seen) else 0.0
+    return Certificate(witness is None, witness, done, seen)
 
 
 def _stacked_norm(a):

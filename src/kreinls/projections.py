@@ -143,12 +143,14 @@ def projection_from_matrix(space, matrix):
     if (op @ op - op).norm() > space.tol.num * scale**2:
         raise BadProjection("matrix is not idempotent")
     adj = op.adjoint()
-    if (adj - op).norm() <= space.tol.num * scale:
-        kind = ProjectionKind.SELFADJOINT
-    elif (op @ adj - adj @ op).norm() <= space.tol.num * scale**2:
-        kind = ProjectionKind.NORMAL
-    else:
+    # normality is tested on every matrix: a selfadjointness residual within
+    # tolerance does not bound the commutator within its own
+    if (op @ adj - adj @ op).norm() > space.tol.num * scale**2:
         kind = ProjectionKind.OBLIQUE
+    elif (adj - op).norm() <= space.tol.num * scale:
+        kind = ProjectionKind.SELFADJOINT
+    else:
+        kind = ProjectionKind.NORMAL
     # rank of an idempotent is its trace; immune to borderline singular values
     rank = min(max(int(round(op.matrix.trace().real)), 0), space.dim)
     return Projection(op, range_of(op, rank=rank), kind)

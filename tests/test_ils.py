@@ -79,9 +79,11 @@ def test_inverse_feasible_iff_range_regular(p, q):
 
 def test_inverse_in_range(m2):
     b = m2.operator(B2)
-    ok = k.indefinite_inverse_in_range(b, m2.operator(B2))
+    c = m2.operator(B2)
+    ok = k.indefinite_inverse_in_range(b, c)
     assert ok.feasible
-    assert ok.value is None
+    r = b @ ok.solution - c
+    assert (ok.value - r.adjoint() @ r).norm() == 0.0
     bad = k.indefinite_inverse_in_range(b, m2.eye())
     assert not bad.feasible and bad.reason == "RangeInclusionFails"
 

@@ -1,5 +1,6 @@
 """The verification oracles, checked against hand values and re-derivations."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import kreinls as k
-from conftest import gaussian
+from conftest import cli_env, gaussian
+from kreinls import matio
 from kreinls.core import nullspace_matrix, spectral_norm
 from kreinls.oracle import Certificate, _ims_value
 
@@ -111,7 +113,9 @@ def _certify_min_loop(b, c, x0, trials=1000, seed=0):
         gd = g @ delta
         scale = max(spectral_norm(gd), base)
         if spectral_norm(gd - gd.conj().T) > sp.tol.sym * scale:
-            return Certificate(False, x.matrix, trial + 1, float(min_seen))
+            # no eigenvalue seen before a skew failure at the first trial reads 0.0
+            seen = float(min_seen) if np.isfinite(min_seen) else 0.0
+            return Certificate(False, x.matrix, trial + 1, seen)
         lam = float(np.linalg.eigvalsh((gd + gd.conj().T) / 2.0)[0])
         min_seen = min(min_seen, lam)
         if lam < -sp.tol.num * scale:
@@ -179,6 +183,26 @@ def test_certify_min_matches_per_trial_reference(args, trials, outcome):
         assert got.witness is None
     else:
         assert np.array_equal(got.witness, ref.witness)
+
+
+def test_cli_oracle_skew_reject_at_first_trial(tmp_path):
+    """A skew failure before any eigenvalue is seen still gives a finite report."""
+    b, c, x0 = _oracle_instance(4, 2, 2, 3.0, None, True)
+    files = {"space.json": {"gram": matio.matrix_to_json(b.space.gram)}}
+    for name, op in (("b", b), ("c", c), ("x", x0)):
+        files[name + ".json"] = matio.matrix_to_json(op.matrix)
+    for name, obj in files.items():
+        (tmp_path / name).write_text(matio.canonical_dumps(obj) + "\n")
+    argv = ["oracle", "--space", "space.json", "--b", "b.json", "--c", "c.json", "--x", "x.json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kreinls.cli", *argv],
+        cwd=tmp_path, env=cli_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["verdict"] is False and report["trials"] == 1
+    assert report["min_eigen_seen"] == 0.0
+    assert report["witness"] is not None
 
 
 def test_certify_min_rejects_negative_trials(m2):

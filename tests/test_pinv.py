@@ -100,6 +100,20 @@ def test_generalized_inverse_rejects_bad_projections(m2):
     oblique = np.array([[0.0, 1.0], [0.0, 1.0]])  # onto span((1,1)) along e1
     with pytest.raises(k.BadProjection):
         k.generalized_inverse(m2.operator([[1.0, -1.0], [0.0, 0.0]]), np.diag([1.0, 0.0]), oblique)
+    # hand-built Projection objects are validated by their matrices: the stated
+    # range and kind are right, the operators are not
+    onto_range = k.range_of(b)
+    bad_q = [
+        k.Projection(m2.operator(2 * np.diag([1.0, 0.0])), onto_range, k.ProjectionKind.SELFADJOINT),
+        # onto span(e1) along span((1, -1)): idempotent but not normal
+        k.Projection(m2.operator([[1.0, 1.0], [0.0, 0.0]]), onto_range, k.ProjectionKind.NORMAL),
+    ]
+    p_ok = k.normal_projection(k.nullspace_of(b))  # N(B) = N(B#B) for this B
+    for q in bad_q:
+        with pytest.raises(k.BadProjection):
+            k.generalized_inverse(b, q, p_ok)
+        with pytest.raises(k.BadProjection):
+            k.reduced_generalized_inverse(b, q, p_ok)
 
 
 def test_rebuild_round_trip(m2, m4):
