@@ -11,12 +11,7 @@ import argparse
 import sys
 
 from . import matio
-from .core import (
-    Operator,
-    decompose_subspace,
-    orthogonal_companion,
-    subspace_from_spanning,
-)
+from .core import Operator, decompose_subspace, orthogonal_companion, subspace_from_spanning
 from .errors import KreinError, NotRegular, ParseError
 from .ils import indefinite_inverse, solve_imax, solve_ims, verify_ims
 from .minmax import solve_immso
@@ -32,28 +27,192 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-_COMMANDS = (
-    ("adjoint", "indefinite adjoint of B"),
-    ("classify", "sign classification of a subspace"),
-    ("companion", "orthogonal companion of a subspace"),
-    ("decompose", "fundamental decomposition of a subspace"),
-    ("project", "projection onto a subspace (selfadjoint | normal | ando)"),
-    ("solve-ils", "indefinite least squares: inverse of B, or min for (B, C)"),
-    ("solve-imax", "indefinite least-squares maximum for (B, C)"),
-    ("solve-minmax", "stationary min-max problem for (B, C)"),
-    ("pinv", "Krein-space Moore-Penrose inverse of B"),
-    ("geninv", "generalized inverse from canonical normal projections"),
-    ("min-norm", "minimal-X#X solution of BX = C"),
-    ("verify", "check a candidate X for the minimum problem (B, C)"),
-    ("oracle", "Krein positivity of B, or minimality of X for (B, C)"),
-)
+# ---------------------------------------------------------------------------
+# operands and report pieces
+# ---------------------------------------------------------------------------
+
+def _operator(space, args, flag):
+    path = getattr(args, flag)
+    if path is None:
+        raise ParseError("this command requires --%s" % flag)
+    return Operator(space, matio.load_matrix(path))
+
+
+def _subspace(space, args):
+    if args.subspace is None:
+        raise ParseError("this command requires --subspace")
+    return subspace_from_spanning(space, matio.load_subspace_basis(args.subspace))
+
+
+def _json(matrix):
+    return matio.matrix_to_json(matrix) if matrix is not None else None
+
+
+def _matrix(op):
+    return _json(op.matrix) if op is not None else None
+
+
+def _solve_report(rep):
+    manifold = rep.manifold
+    return {
+        "feasible": rep.feasible,
+        "reason": rep.reason,
+        "conditions": rep.conditions,
+        "solution": _matrix(rep.solution),
+        "perturbation_basis": _json(manifold.perturbation_space.basis) if manifold else None,
+        "value": _matrix(rep.value),
+        "residuals": {"normal_equation": rep.residual_normal_eq},
+        "certificates": rep.certificates,
+    }
+
+
+def _projected(q, **rest):
+    """Report body of a computed projection: its matrix, then the mode's extras."""
+    return {"feasible": True, "reason": None, "solution": _json(q.matrix), **rest}
+
+
+def _projection_body(q):
+    op, adj = q.op, q.op.adjoint()
+    residuals = {"idempotency": (op @ op - op).norm(), "normality": (op @ adj - adj @ op).norm()}
+    return _projected(q, kind=q.kind.value, residuals=residuals)
+
+
+# ---------------------------------------------------------------------------
+# command handlers: (space, args) -> (exit code, report body)
+# ---------------------------------------------------------------------------
+
+def _solver(fn, *flags):
+    """Handler for a solver taking the operands named by flags and a seed."""
+
+    def handler(space, args):
+        rep = fn(*(_operator(space, args, flag) for flag in flags), seed=args.seed)
+        return (0 if rep.feasible else 2), _solve_report(rep)
+
+    return handler
+
+
+_inverse = _solver(indefinite_inverse, "b")
+_ims = _solver(solve_ims, "b", "c")
+
+
+def _adjoint(space, args):
+    return 0, {"solution": _matrix(_operator(space, args, "b").adjoint())}
+
+
+def _classify(space, args):
+    cls = _subspace(space, args).classification
+    return 0, {
+        "class": cls.kind.value,
+        "regular": cls.regular,
+        "pseudo_regular": cls.pseudo_regular,
+        "inertia": {"positive": cls.n_positive, "negative": cls.n_negative, "zero": cls.n_zero},
+    }
+
+
+def _companion(space, args):
+    comp = orthogonal_companion(_subspace(space, args))
+    return 0, {
+        "basis": _json(comp.basis),
+        "dim": comp.dim,
+        "class": comp.classification.kind.value,
+    }
+
+
+def _decompose(space, args):
+    s_plus, s_minus = decompose_subspace(_subspace(space, args))
+    return 0, {
+        "plus_basis": _json(s_plus.basis),
+        "minus_basis": _json(s_minus.basis),
+        "plus_class": s_plus.classification.kind.value,
+        "minus_class": s_minus.classification.kind.value,
+    }
+
+
+def _project(space, args):
+    sub = _subspace(space, args)
+    if args.mode == "normal":
+        return 0, _projection_body(normal_projection(sub))
+    try:
+        q = selfadjoint_projection(sub)
+    except NotRegular:
+        return 2, {"feasible": False, "reason": "RangeNotRegular"}
+    if args.mode == "selfadjoint":
+        return 0, _projection_body(q)
+    q_plus, q_minus = ando_split(q)
+    return 0, _projected(q, plus=_json(q_plus.matrix), minus=_json(q_minus.matrix))
+
+
+def _geninv(space, args):
+    b = _operator(space, args, "b")
+    gi = canonical_pair(b)
+    bd = b @ gi.d
+    db = gi.d @ b
+    return 0, {
+        "feasible": True,
+        "reason": None,
+        "solution": _matrix(gi.d),
+        "kind": gi.kind.value,
+        "q": _matrix(gi.q),
+        "p": _matrix(gi.p),
+        "residuals": {
+            "identity_bdb": (bd @ b - b).norm(),
+            "identity_dbd": (db @ gi.d - gi.d).norm(),
+            "normality_bd": (bd @ bd.adjoint() - bd.adjoint() @ bd).norm(),
+            "normality_db": (db @ db.adjoint() - db.adjoint() @ db).norm(),
+        },
+    }
+
+
+def _verify(space, args):
+    b, c, x = (_operator(space, args, flag) for flag in "bcx")
+    verdict = verify_ims(x, b, c, trials=200, seed=args.seed)
+    residual = (b.adjoint() @ (b @ x - c)).norm()
+    return (0 if verdict else 2), {"verdict": verdict, "residuals": {"normal_equation": residual}}
+
+
+def _oracle(space, args):
+    # minimality of X when (B, C, X) are all given, positivity of B otherwise
+    b = _operator(space, args, "b")
+    if args.c is not None and args.x is not None:
+        c, x = _operator(space, args, "c"), _operator(space, args, "x")
+        cert = certify_min(b, c, x, trials=1000, seed=args.seed)
+    else:
+        cert = is_krein_positive(b)
+    return (0 if cert.verdict else 2), {
+        "verdict": cert.verdict,
+        "trials": cert.trials,
+        "min_eigen_seen": cert.min_eigen_seen,
+        "witness": _json(cert.witness),
+    }
+
+
+COMMANDS = {
+    "adjoint": ("indefinite adjoint of B", _adjoint),
+    "classify": ("sign classification of a subspace", _classify),
+    "companion": ("orthogonal companion of a subspace", _companion),
+    "decompose": ("fundamental decomposition of a subspace", _decompose),
+    "project": ("projection onto a subspace (selfadjoint | normal | ando)", _project),
+    "solve-ils": (
+        "indefinite least squares: inverse of B, or min for (B, C)",
+        lambda space, args: (_inverse if args.c is None else _ims)(space, args),
+    ),
+    "solve-imax": ("indefinite least-squares maximum for (B, C)", _solver(solve_imax, "b", "c")),
+    "solve-minmax": ("stationary min-max problem for (B, C)", _solver(solve_immso, "b", "c")),
+    "pinv": ("Krein-space Moore-Penrose inverse of B", _solver(krein_moore_penrose, "b")),
+    "geninv": ("generalized inverse from canonical normal projections", _geninv),
+    "min-norm": ("minimal-X#X solution of BX = C", _solver(solve_min_ims_norm, "b", "c")),
+    "verify": ("check a candidate X for the minimum problem (B, C)", _verify),
+    "oracle": ("Krein positivity of B, or minimality of X for (B, C)", _oracle),
+}
+
+_ECHOED = ("space", "b", "c", "x", "subspace", "seed", "tol_rank", "tol_num")
 
 
 def _build_parser():
     parser = _Parser(prog="krein", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="<command>")
     sub.required = True
-    for name, helptext in _COMMANDS:
+    for name, (helptext, _) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         if name == "project":
             p.add_argument("mode", choices=["selfadjoint", "normal", "ando"])
@@ -69,242 +228,19 @@ def _build_parser():
     return parser
 
 
-def _echo(args):
-    echo = {"command": args.command}
-    if args.command == "project":
-        echo["mode"] = args.mode
-    echo.update(
-        space=args.space,
-        b=args.b,
-        c=args.c,
-        x=args.x,
-        subspace=args.subspace,
-        seed=args.seed,
-        tol_rank=args.tol_rank,
-        tol_num=args.tol_num,
-    )
-    return echo
-
-
-def _operator(space, path, flag):
-    if path is None:
-        raise ParseError("this command requires --%s" % flag)
-    return Operator(space, matio.load_matrix(path))
-
-
-def _subspace(space, path):
-    if path is None:
-        raise ParseError("this command requires --subspace")
-    return subspace_from_spanning(space, matio.load_subspace_basis(path))
-
-
-def _matrix(op):
-    return matio.matrix_to_json(op.matrix) if op is not None else None
-
-
-def _solve_report(command, rep):
-    manifold = rep.manifold
-    return {
-        "command": command,
-        "feasible": rep.feasible,
-        "reason": rep.reason,
-        "conditions": rep.conditions,
-        "solution": _matrix(rep.solution),
-        "perturbation_basis": (
-            matio.matrix_to_json(manifold.perturbation_space.basis)
-            if manifold is not None
-            else None
-        ),
-        "value": _matrix(rep.value),
-        "residuals": {"normal_equation": rep.residual_normal_eq},
-        "certificates": rep.certificates,
-    }
-
-
-def _projection_residuals(q):
-    op = q.op
-    adj = op.adjoint()
-    return {
-        "idempotency": (op @ op - op).norm(),
-        "normality": (op @ adj - adj @ op).norm(),
-    }
-
-
-def _run(args):
-    tol = matio.tolerances_from_overrides(args.tol_rank, args.tol_num)
-    space = matio.load_space(args.space, tol)
-    cmd = args.command
-
-    if cmd == "adjoint":
-        b = _operator(space, args.b, "b")
-        return 0, {"command": cmd, "solution": _matrix(b.adjoint())}
-
-    if cmd == "classify":
-        cls = _subspace(space, args.subspace).classification
-        return 0, {
-            "command": cmd,
-            "class": cls.kind.value,
-            "regular": cls.regular,
-            "pseudo_regular": cls.pseudo_regular,
-            "inertia": {
-                "positive": cls.n_positive,
-                "negative": cls.n_negative,
-                "zero": cls.n_zero,
-            },
-        }
-
-    if cmd == "companion":
-        comp = orthogonal_companion(_subspace(space, args.subspace))
-        return 0, {
-            "command": cmd,
-            "basis": matio.matrix_to_json(comp.basis),
-            "dim": comp.dim,
-            "class": comp.classification.kind.value,
-        }
-
-    if cmd == "decompose":
-        s_plus, s_minus = decompose_subspace(_subspace(space, args.subspace))
-        return 0, {
-            "command": cmd,
-            "plus_basis": matio.matrix_to_json(s_plus.basis),
-            "minus_basis": matio.matrix_to_json(s_minus.basis),
-            "plus_class": s_plus.classification.kind.value,
-            "minus_class": s_minus.classification.kind.value,
-        }
-
-    if cmd == "project":
-        sub = _subspace(space, args.subspace)
-        if args.mode == "normal":
-            q = normal_projection(sub)
-            return 0, {
-                "command": cmd,
-                "mode": args.mode,
-                "feasible": True,
-                "reason": None,
-                "solution": matio.matrix_to_json(q.matrix),
-                "kind": q.kind.value,
-                "residuals": _projection_residuals(q),
-            }
-        try:
-            q = selfadjoint_projection(sub)
-        except NotRegular:
-            return 2, {
-                "command": cmd,
-                "mode": args.mode,
-                "feasible": False,
-                "reason": "RangeNotRegular",
-            }
-        if args.mode == "selfadjoint":
-            return 0, {
-                "command": cmd,
-                "mode": args.mode,
-                "feasible": True,
-                "reason": None,
-                "solution": matio.matrix_to_json(q.matrix),
-                "kind": q.kind.value,
-                "residuals": _projection_residuals(q),
-            }
-        q_plus, q_minus = ando_split(q)
-        return 0, {
-            "command": cmd,
-            "mode": args.mode,
-            "feasible": True,
-            "reason": None,
-            "solution": matio.matrix_to_json(q.matrix),
-            "plus": matio.matrix_to_json(q_plus.matrix),
-            "minus": matio.matrix_to_json(q_minus.matrix),
-        }
-
-    if cmd == "solve-ils":
-        b = _operator(space, args.b, "b")
-        if args.c is None:
-            rep = indefinite_inverse(b, seed=args.seed)
-        else:
-            rep = solve_ims(b, _operator(space, args.c, "c"), seed=args.seed)
-        return (0 if rep.feasible else 2), _solve_report(cmd, rep)
-
-    if cmd == "solve-imax":
-        b = _operator(space, args.b, "b")
-        c = _operator(space, args.c, "c")
-        rep = solve_imax(b, c, seed=args.seed)
-        return (0 if rep.feasible else 2), _solve_report(cmd, rep)
-
-    if cmd == "solve-minmax":
-        b = _operator(space, args.b, "b")
-        c = _operator(space, args.c, "c")
-        rep = solve_immso(b, c, seed=args.seed)
-        return (0 if rep.feasible else 2), _solve_report(cmd, rep)
-
-    if cmd == "pinv":
-        b = _operator(space, args.b, "b")
-        rep = krein_moore_penrose(b, seed=args.seed)
-        return (0 if rep.feasible else 2), _solve_report(cmd, rep)
-
-    if cmd == "geninv":
-        b = _operator(space, args.b, "b")
-        gi = canonical_pair(b)
-        bd = b @ gi.d
-        db = gi.d @ b
-        return 0, {
-            "command": cmd,
-            "feasible": True,
-            "reason": None,
-            "solution": matio.matrix_to_json(gi.d.matrix),
-            "kind": gi.kind.value,
-            "q": matio.matrix_to_json(gi.q.matrix),
-            "p": matio.matrix_to_json(gi.p.matrix),
-            "residuals": {
-                "identity_bdb": (bd @ b - b).norm(),
-                "identity_dbd": (db @ gi.d - gi.d).norm(),
-                "normality_bd": (bd @ bd.adjoint() - bd.adjoint() @ bd).norm(),
-                "normality_db": (db @ db.adjoint() - db.adjoint() @ db).norm(),
-            },
-        }
-
-    if cmd == "min-norm":
-        b = _operator(space, args.b, "b")
-        c = _operator(space, args.c, "c")
-        rep = solve_min_ims_norm(b, c, seed=args.seed)
-        return (0 if rep.feasible else 2), _solve_report(cmd, rep)
-
-    if cmd == "verify":
-        b = _operator(space, args.b, "b")
-        c = _operator(space, args.c, "c")
-        x = _operator(space, args.x, "x")
-        verdict = verify_ims(x, b, c, trials=200, seed=args.seed)
-        residual = (b.adjoint() @ (b @ x - c)).norm()
-        return (0 if verdict else 2), {
-            "command": cmd,
-            "verdict": verdict,
-            "residuals": {"normal_equation": residual},
-        }
-
-    # oracle: minimality of X when (B, C, X) are all given, positivity of B otherwise
-    b = _operator(space, args.b, "b")
-    if args.c is not None and args.x is not None:
-        c = _operator(space, args.c, "c")
-        x = _operator(space, args.x, "x")
-        cert = certify_min(b, c, x, trials=1000, seed=args.seed)
-    else:
-        cert = is_krein_positive(b)
-    witness = cert.witness
-    return (0 if cert.verdict else 2), {
-        "command": cmd,
-        "verdict": cert.verdict,
-        "trials": cert.trials,
-        "min_eigen_seen": cert.min_eigen_seen,
-        "witness": matio.matrix_to_json(witness) if witness is not None else None,
-    }
-
-
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        code, report = _run(args)
+        tol = matio.tolerances_from_overrides(args.tol_rank, args.tol_num)
+        space = matio.load_space(args.space, tol)
+        code, body = COMMANDS[args.command][1](space, args)
     except KreinError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    report["config_echo"] = _echo(args)
+    head = {"command": args.command}
+    if "mode" in args:  # project's positional mode leads its report and echo
+        head["mode"] = args.mode
+    report = {**head, **body, "config_echo": {**head, **{k: getattr(args, k) for k in _ECHOED}}}
     text = matio.canonical_dumps(report) + "\n"
     sys.stdout.write(text)
     if args.out:

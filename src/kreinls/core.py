@@ -297,7 +297,12 @@ class SubspaceKind(str, Enum):
 
 @dataclass(frozen=True)
 class SubspaceClass:
-    """Sign classification of a subspace via its restricted Gram's inertia."""
+    """Sign classification of a subspace via its restricted Gram's inertia.
+
+    `pseudo_regular` is always true: in finite dimension every subspace S is
+    pseudo-regular (S + S^[⊥] is closed). The field stays because the
+    `classify` report carries it.
+    """
 
     kind: SubspaceKind
     regular: bool

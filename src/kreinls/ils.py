@@ -96,8 +96,9 @@ def normal_equation_solution(b, c, metric=None):
     # B#B annihilates any neutral range direction exactly, but the float
     # product leaves residue of this size there; without the floor a pure
     # roundoff singular value can survive the relative cutoff and get
-    # inverted.
-    noise = b.space.dim * np.finfo(float).eps * max(1.0, badj.norm() * b.norm())
+    # inverted.  The floor scales with the factors, so scaling B and C
+    # together leaves X0 unchanged.
+    noise = b.space.dim * np.finfo(float).eps * badj.norm() * b.norm()
     x0 = hilbert_pinv(b.space, a, metric=metric, floor=noise) @ f
     return Operator(b.space, x0), spectral_norm(a @ x0 - f)
 

@@ -10,7 +10,6 @@ optimization attain the same value.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     Operator,
@@ -80,12 +79,19 @@ def verify_immso(z0, b, c, j=None, seed=0):
 
 
 def random_fundamental_symmetry(space, rng, scale=0.3):
-    """A random J' = U J U# with U = exp(W - W#) a Krein-space unitary."""
+    """A random J' = U J U# with U = (I - A/2)^-1 (I + A/2), A = W - W#.
+
+    A is Krein-skew (A# = -A), so its Cayley transform U is Krein-unitary:
+    U# = (I - A/2)(I + A/2)^-1 = U^-1, because the two factors commute. Then
+    J' is again a fundamental symmetry (Higham, "J-orthogonal matrices:
+    properties and generation", SIAM Review 45(3), 2003).
+    """
     n = space.dim
     w = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     w_op = Operator(space, w)
-    a = (w_op - w_op.adjoint()).matrix
-    u = scipy.linalg.expm(a)
+    half = 0.5 * (w_op - w_op.adjoint()).matrix
+    eye = np.eye(n)
+    u = np.linalg.solve(eye - half, eye + half)
     u_sharp = Operator(space, u).adjoint().matrix
     return Operator(space, u @ space.j @ u_sharp)
 

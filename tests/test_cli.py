@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 from conftest import cli_env
 
+from kreinls import cli
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 
@@ -147,3 +149,51 @@ def test_tolerance_overrides_change_rank_decision(tmp_path):
     assert total(strict) == 2
     assert total(loose) == 1
     assert loose["config_echo"]["tol_rank"] == 1e-3
+
+
+# each command without one operand it needs: (argv without --space, missing flag)
+MISSING_OPERAND = [
+    (["adjoint"], "b"),
+    (["classify"], "subspace"),
+    (["companion"], "subspace"),
+    (["decompose"], "subspace"),
+    (["project", "normal"], "subspace"),
+    (["solve-ils"], "b"),
+    (["solve-ils", "--c", "eye2.json"], "b"),
+    (["solve-imax"], "b"),
+    (["solve-imax", "--b", "b1.json"], "c"),
+    (["solve-minmax", "--b", "b2.json"], "c"),
+    (["pinv"], "b"),
+    (["geninv"], "b"),
+    (["min-norm", "--b", "b3.json"], "c"),
+    (["verify", "--b", "b1.json"], "c"),
+    (["verify", "--b", "b1.json", "--c", "eye2.json"], "x"),
+    (["oracle"], "b"),
+    (["oracle", "--c", "eye2.json", "--x", "b1.json"], "b"),
+]
+
+
+def test_every_command_has_a_golden_case():
+    assert set(cli.COMMANDS) <= {argv[0] for _, argv, _ in CASES}
+    assert set(cli.COMMANDS) == {argv[0] for argv, _ in MISSING_OPERAND}
+
+
+@pytest.mark.parametrize(
+    "argv,flag", MISSING_OPERAND, ids=[" ".join(a) + " -" + f for a, f in MISSING_OPERAND]
+)
+def test_missing_operand_is_an_input_error(argv, flag, monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    assert cli.main([*argv, "--space", "m2.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: this command requires --%s" % flag), err
+
+
+def test_cli_does_not_import_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import kreinls.cli, sys; sys.exit('scipy' in sys.modules)"],
+        env=cli_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr or "kreinls.cli imported scipy"

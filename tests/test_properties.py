@@ -1,6 +1,7 @@
 """Properties of the verdicts: what leaves the mathematics unchanged leaves them unchanged."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -51,3 +52,35 @@ def test_verdicts_are_scale_invariant(seed, b_exp, c_exp):
         conditions = solve(b, c).conditions
         assert conditions["range_inclusion"] == reachable, solve.__name__
         assert solve(b_scaled, c_scaled).conditions == conditions, solve.__name__
+
+
+
+def _solve_ims_feasible(seed):
+    b, c, _ = degenerate_instance(seed)
+    return c is not None and k.solve_ims(b, c).feasible
+
+
+# R(B) of seed 20 is fully neutral: B#B is pure roundoff, at 1.09x the noise floor
+# of normal_equation_solution, so X0 is inverted noise of norm about 1 (exactly 0
+# in exact arithmetic) and differs from one scaling to the next.
+NOISE_AT_FLOOR = pytest.mark.xfail(
+    strict=True, reason="fully neutral R(B): B#B roundoff just above the noise floor"
+)
+FEASIBLE_SEEDS = [
+    pytest.param(seed, marks=NOISE_AT_FLOOR) if seed == 20 else seed
+    for seed in range(60)
+    if _solve_ims_feasible(seed)
+]
+
+
+@pytest.mark.parametrize("seed", FEASIBLE_SEEDS)
+def test_solution_is_scale_invariant(seed):
+    """Scaling B and C together by 10^±50 and 10^±100 leaves X0 unchanged."""
+    b, c, _ = degenerate_instance(seed)
+    sp = b.space
+    x0 = k.solve_ims(b, c).solution.matrix
+    for exp in (-100, -50, 50, 100):
+        scale = 10.0**exp
+        rep = k.solve_ims(sp.operator(scale * b.matrix), sp.operator(scale * c.matrix))
+        assert rep.feasible, exp
+        assert np.linalg.norm(rep.solution.matrix - x0) <= 1e-6 * np.linalg.norm(x0), exp
