@@ -9,6 +9,7 @@ Hilbert inner product <x, y> = [Jx, y] = y* M x. Subspaces are stored with
 the classification machinery directly assertable.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    KreinError,
     NoFactorization,
     NotHermitian,
     SingularGram,
@@ -85,6 +87,27 @@ def ordered_eigh(a):
     return w, v
 
 
+def per_instance(build):
+    """Decorate build(obj) so that it runs once per obj; obj keeps the value.
+
+    Operators and subspaces are immutable, and a space's tolerances are fixed
+    when it is built, so what is derived from one of them alone never goes
+    stale: every solver reads the one analysis instead of repeating it.  The
+    value lives on the instance and dies with it (nothing is shared between
+    equal matrices), and it must not refer back to the instance, which would
+    make a reference cycle that only the garbage collector can free.
+    """
+
+    @functools.wraps(build)
+    def once(obj):
+        memo = obj.__dict__.setdefault("_memo", {})
+        if build not in memo:
+            memo[build] = build(obj)
+        return memo[build]
+
+    return once
+
+
 def _rank_from_singulars(s, factor):
     if s.size == 0:
         return 0
@@ -110,6 +133,10 @@ class KreinSpace:
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise DimensionMismatch("gram matrix must be square")
         n = gram.shape[0]
+        if n == 0:
+            raise DimensionMismatch("gram matrix is empty; a space needs dimension at least 1")
+        if not np.isfinite(gram).all():
+            raise KreinError("gram matrix has non-finite entries")
         scale = spectral_norm(gram)
         if scale == 0.0 or spectral_norm(gram - gram.conj().T) > self.tol.sym * scale:
             raise NotHermitian("gram matrix is not Hermitian within tolerance")
@@ -228,7 +255,13 @@ def hilbert_inner(space, x, y):
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex matrix bound to a space."""
+    """Dense complex matrix bound to a space.
+
+    What depends on the operator alone (its norm, adjoint, range, null space,
+    N(T#T), metric pseudoinverse, and the projections and inverses the
+    solvers build from them) is computed on first use and kept on the
+    instance (see per_instance).
+    """
 
     space: KreinSpace
     matrix: np.ndarray
@@ -240,6 +273,8 @@ class Operator:
             raise DimensionMismatch(
                 "operator shape %s does not match space dim %d" % (m.shape, n)
             )
+        if not np.isfinite(m).all():
+            raise KreinError("operator has non-finite entries")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -267,13 +302,27 @@ class Operator:
 
     __rmul__ = __mul__
 
+    @per_instance
     def adjoint(self):
         """Indefinite adjoint: the unique T# with [Tx, y] = [x, T#y]."""
         sp = self.space
         return Operator(sp, sp._gram_inv @ self.matrix.conj().T @ sp.gram)
 
+    @per_instance
     def norm(self):
         return spectral_norm(self.matrix)
+
+
+@per_instance
+def normal_operator(t):
+    """T#T, the operator of the normal equation T#T X = T#C."""
+    return t.adjoint() @ t
+
+
+@per_instance
+def pseudo_inverse(t):
+    """The metric pseudoinverse of T: its canonical {1,2}-inverse."""
+    return Operator(t.space, hilbert_pinv(t.space, t.matrix))
 
 
 def adjoint(t):
@@ -417,11 +466,29 @@ def classify(s):
     return s.classification
 
 
+@per_instance
+def _restricted_eigh(s):
+    w, u = ordered_eigh(s.gram_restricted)
+    w.setflags(write=False)
+    u.setflags(write=False)
+    return w, u
+
+
+def _neutral_mask(s):
+    w, _ = _restricted_eigh(s)
+    return np.abs(w) <= s.space.neutral_cutoff()
+
+
+@per_instance
 def isotropic_part(s):
     """S ∩ S^[⊥], read off the zero eigenvalues of the restricted Gram."""
-    w, u = ordered_eigh(s.gram_restricted)
-    thr = s.space.neutral_cutoff()
-    return _subspace_direct(s.space, s.basis @ u[:, np.abs(w) <= thr])
+    return _subspace_direct(s.space, s.basis @ _restricted_eigh(s)[1][:, _neutral_mask(s)])
+
+
+@per_instance
+def regular_part(s):
+    """The span of the nonzero eigenvectors of the restricted Gram: S = S_reg [+] S^o."""
+    return _subspace_direct(s.space, s.basis @ _restricted_eigh(s)[1][:, ~_neutral_mask(s)])
 
 
 def decompose_subspace(s):
@@ -431,14 +498,14 @@ def decompose_subspace(s):
     cutoff span S+; the rest (including neutral directions) span S-. Both
     [S+, S-] = 0 and <S+, S-> = 0 hold by construction.
     """
-    w, u = ordered_eigh(s.gram_restricted)
-    thr = s.space.neutral_cutoff()
-    pos = w > thr
+    w, u = _restricted_eigh(s)
+    pos = w > s.space.neutral_cutoff()
     s_plus = _subspace_direct(s.space, s.basis @ u[:, pos])
     s_minus = _subspace_direct(s.space, s.basis @ u[:, ~pos])
     return s_plus, s_minus
 
 
+@per_instance
 def orthogonal_companion(s):
     """S^[⊥] = null(basis* G), canonicalized; dim = n - dim S."""
     if s.dim == 0:
@@ -450,8 +517,19 @@ def orthogonal_companion(s):
 
 
 def range_of(t, rank=None):
-    """Range of an operator as a canonical subspace."""
-    return subspace_from_spanning(t.space, t.matrix, rank=rank)
+    """Range of an operator as a canonical subspace.
+
+    Kept on the operator when the rank is decided at the space's cutoff; a
+    stated rank gives a new subspace and leaves the kept one alone.
+    """
+    if rank is not None:
+        return subspace_from_spanning(t.space, t.matrix, rank=rank)
+    return _range(t)
+
+
+@per_instance
+def _range(t):
+    return subspace_from_spanning(t.space, t.matrix)
 
 
 def nullspace_matrix(space, a):
@@ -464,9 +542,15 @@ def nullspace_matrix(space, a):
     return vh[r:].conj().T
 
 
+@per_instance
 def nullspace_of(t):
     """Null space of an operator as a canonical subspace."""
     return subspace_from_spanning(t.space, nullspace_matrix(t.space, t.matrix))
+
+
+def normal_nullspace(t):
+    """N(T#T): the directions the normal equation leaves free."""
+    return nullspace_of(normal_operator(t))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +644,7 @@ def solve_douglas(y, z):
     """Factor Z = Y D when R(Z) ⊆ R(Y); D is the minimum-Hilbert-norm factor."""
     if not range_inclusion(z, y):
         raise NoFactorization("R(Z) is not contained in R(Y)")
-    return Operator(y.space, hilbert_pinv(y.space, y.matrix) @ z.matrix)
+    return Operator(y.space, pseudo_inverse(y).matrix @ z.matrix)
 
 
 def neutral_range(t):
@@ -568,4 +652,4 @@ def neutral_range(t):
     scale = t.norm()
     if scale == 0.0:
         return True
-    return (t.adjoint() @ t).norm() <= t.space.tol.num * scale**2
+    return normal_operator(t).norm() <= t.space.tol.num * scale**2

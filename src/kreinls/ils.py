@@ -18,14 +18,18 @@ from .core import (
     herm,
     hilbert_pinv,
     isotropic_part,
+    normal_nullspace,
+    normal_operator,
     nullspace_of,
+    per_instance,
+    pseudo_inverse,
     range_of,
     spectral_norm,
     subspace_within,
     sum_with_companion_contains,
 )
 from .oracle import certify_min
-from .projections import normal_projection, selfadjoint_projection
+from .projections import normal_onto_range, selfadjoint_onto_range
 
 REASON_NOT_REGULAR = "RangeNotRegular"
 REASON_NOT_NONNEGATIVE = "RangeNotNonnegative"
@@ -90,17 +94,30 @@ def normal_equation_solution(b, c, metric=None):
     (the space's cached one unless another positive-definite metric is
     supplied, e.g. from an alternative fundamental decomposition).
     """
-    badj = b.adjoint()
-    a = (badj @ b).matrix
-    f = (badj @ c).matrix
+    a = normal_operator(b).matrix
+    f = (b.adjoint() @ c).matrix
+    if metric is None:
+        inv = _normal_pinv(b)
+    else:
+        inv = hilbert_pinv(b.space, a, metric=metric, floor=_normal_noise(b))
+    x0 = inv @ f
+    return Operator(b.space, x0), spectral_norm(a @ x0 - f)
+
+
+def _normal_noise(b):
     # B#B annihilates any neutral range direction exactly, but the float
     # product leaves residue of this size there; without the floor a pure
     # roundoff singular value can survive the relative cutoff and get
     # inverted.  The floor scales with the factors, so scaling B and C
     # together leaves X0 unchanged.
-    noise = b.space.dim * np.finfo(float).eps * badj.norm() * b.norm()
-    x0 = hilbert_pinv(b.space, a, metric=metric, floor=noise) @ f
-    return Operator(b.space, x0), spectral_norm(a @ x0 - f)
+    return b.space.dim * np.finfo(float).eps * b.adjoint().norm() * b.norm()
+
+
+@per_instance
+def _normal_pinv(b):
+    inv = hilbert_pinv(b.space, normal_operator(b).matrix, floor=_normal_noise(b))
+    inv.setflags(write=False)
+    return inv
 
 
 def _attained_value(b, c, x0):
@@ -112,14 +129,15 @@ def _value_spectrum(value):
     return np.linalg.eigvalsh(herm(value.space.gram @ value.matrix))
 
 
-def _value_certificates(b, c, x0, value, range_sub, inclusion):
+def _value_certificates(b, c, x0, value, inclusion):
     """Closed-form cross-checks attached to min/max reports."""
     certs = {"value_spectrum": _value_spectrum(value)}
+    range_sub = range_of(b)
     regular = range_sub.classification.regular
     if not regular:
         # R(B) + R(B)^[⊥] is the isotropic part's companion: the feasibility condition
         certs["isotropic_companion_contains_rhs"] = inclusion
-    q = (selfadjoint_projection if regular else normal_projection)(range_sub).op
+    q = (selfadjoint_onto_range if regular else normal_onto_range)(b).op
     closed = c.adjoint() @ (c.space.eye() - q) @ c
     certs["value_formula_residual"] = (value - closed).norm() / max(1.0, value.norm())
     if not regular:
@@ -151,8 +169,8 @@ def _solve_extremal(b, c, sign_condition, sign_reason, seed):
 
     x0, residual = normal_equation_solution(b, c)
     value = _attained_value(b, c, x0)
-    manifold = SolutionManifold(x0, nullspace_of(b.adjoint() @ b))
-    certs = _value_certificates(b, c, x0, value, range_sub, inclusion)
+    manifold = SolutionManifold(x0, normal_nullspace(b))
+    certs = _value_certificates(b, c, x0, value, inclusion)
     return SolveReport(True, None, conditions, manifold, value, residual, certs, seed)
 
 
@@ -168,8 +186,7 @@ def has_indefinite_inverse(b):
 def regular_range_rank_check(b):
     """Independent regularity test: R(B#) = R(B#B) as a rank statement."""
     sp = b.space
-    bs = b.adjoint().matrix
-    return sp.rank(bs) == sp.rank(bs @ b.matrix)
+    return sp.rank(b.adjoint().matrix) == sp.rank(normal_operator(b).matrix)
 
 
 def indefinite_inverse(b, seed=0):
@@ -182,8 +199,8 @@ def indefinite_inverse(b, seed=0):
     if not regular:
         return SolveReport(False, REASON_NOT_REGULAR, conditions, None, None, 0.0, certs, seed)
 
-    q = selfadjoint_projection(range_sub).op
-    x0 = Operator(sp, hilbert_pinv(sp, b.matrix) @ q.matrix)
+    q = selfadjoint_onto_range(b).op
+    x0 = Operator(sp, pseudo_inverse(b).matrix @ q.matrix)
     eye = sp.eye()
     bx = b @ x0
     residual = (b.adjoint() @ (bx - eye)).norm()
@@ -211,11 +228,11 @@ def indefinite_inverse_in_range(b, c, seed=0):
     value = _attained_value(b, c, x0)
     certs = {"value_spectrum": _value_spectrum(value)}
     if range_sub.classification.regular:
-        q = selfadjoint_projection(range_sub).op
+        q = selfadjoint_onto_range(b).op
         closed = c.adjoint() @ (c.space.eye() - q) @ c
         certs["value_formula_residual"] = (value - closed).norm() / max(1.0, value.norm())
         certs["projected_equation_residual"] = (b @ x0 - q @ c).norm()
-    manifold = SolutionManifold(x0, nullspace_of(b.adjoint() @ b))
+    manifold = SolutionManifold(x0, normal_nullspace(b))
     return SolveReport(True, None, conditions, manifold, value, residual, certs, seed)
 
 

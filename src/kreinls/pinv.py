@@ -19,8 +19,11 @@ from .core import (
     herm,
     hilbert_pinv,
     isotropic_part,
+    normal_nullspace,
     nullspace_of,
     orthogonal_companion,
+    per_instance,
+    pseudo_inverse,
     range_of,
     subspace_equal,
     subspace_from_spanning,
@@ -33,8 +36,11 @@ from .ils import SolutionManifold, SolveReport, _join_reasons, normal_equation_s
 from .projections import (
     Projection,
     ProjectionKind,
-    normal_projection,
+    normal_onto_nullspace,
+    normal_onto_normal_nullspace,
+    normal_onto_range,
     projection_from_matrix,
+    selfadjoint_onto_range,
     selfadjoint_projection,
 )
 
@@ -55,7 +61,7 @@ class GeneralizedInverse:
 
 def one_two_inverse(b):
     """The metric pseudoinverse, as the canonical {1,2}-inverse of B."""
-    return Operator(b.space, hilbert_pinv(b.space, b.matrix))
+    return pseudo_inverse(b)
 
 
 def one_two_pair(b):
@@ -104,7 +110,12 @@ def generalized_inverse(b, q, p):
     sp = b.space
     q = _require_normal_onto(sp, q, range_of(b), "Q")
     p = _require_normal_onto(sp, p, nullspace_of(b), "P")
-    d = (sp.eye() - p.op) @ one_two_inverse(b) @ q.op
+    return _pair_inverse(b, q, p)
+
+
+def _pair_inverse(b, q, p):
+    """generalized_inverse for projections Q, P this module built itself: no validation."""
+    d = (b.space.eye() - p.op) @ one_two_inverse(b) @ q.op
     return GeneralizedInverse(d, q, p, _pair_kind(b, d))
 
 
@@ -119,7 +130,7 @@ def canonical_pair(b):
     Always defined in finite dimension; reduces to the Moore-Penrose
     inverse when R(B) and N(B) are regular.
     """
-    return generalized_inverse(b, normal_projection(range_of(b)), normal_projection(nullspace_of(b)))
+    return _pair_inverse(b, normal_onto_range(b), normal_onto_nullspace(b))
 
 
 def krein_moore_penrose(b, seed=0):
@@ -131,8 +142,7 @@ def krein_moore_penrose(b, seed=0):
     randomly perturbed positive metric.
     """
     sp = b.space
-    range_sub = range_of(b)
-    range_reg = classify(range_sub).regular
+    range_reg = classify(range_of(b)).regular
     null_sub = nullspace_of(b)
     null_reg = classify(null_sub).regular
     conditions = {"range_regular": range_reg, "nullspace_regular": null_reg}
@@ -142,7 +152,7 @@ def krein_moore_penrose(b, seed=0):
     if reason is not None:
         return SolveReport(False, reason, conditions, None, None, 0.0, {}, seed)
 
-    q = selfadjoint_projection(range_sub).op
+    q = selfadjoint_onto_range(b).op
     p_prime = selfadjoint_projection(orthogonal_companion(null_sub)).op
     bt = one_two_inverse(b)
     bdag = p_prime @ bt @ q
@@ -179,11 +189,31 @@ def reduced_generalized_inverse(b, q, p_prime):
     """
     sp = b.space
     q_op = _require_normal_onto(sp, q, range_of(b), "Q").op
-    null_bb = nullspace_of(b.adjoint() @ b)
-    p_op = _require_normal_onto(sp, p_prime, null_bb, "P'").op
+    p_op = _require_normal_onto(sp, p_prime, normal_nullspace(b), "P'").op
+    return _reduced_inverse(b, q_op, p_op)
+
+
+def _reduced_inverse(b, q_op, p_op):
+    """reduced_generalized_inverse for Q, P' this module built itself: no validation."""
+    sp = b.space
     b_red = q_op.adjoint() @ b
     bt = Operator(sp, hilbert_pinv(sp, b_red.matrix))
     return (sp.eye() - p_op) @ bt @ (q_op.adjoint() @ q_op)
+
+
+@per_instance
+def _min_norm_inverse(b):
+    """The reduced inverse D of solve_min_ims_norm, from the canonical normal projections."""
+    return _reduced_inverse(b, normal_onto_range(b).op, normal_onto_normal_nullspace(b).op)
+
+
+@per_instance
+def _min_norm_reachable(b):
+    """B(N(B#B)^[⊥]) + R(B)^[⊥]: the right-hand sides solve_min_ims_norm can reach."""
+    return subspace_sum(
+        subspace_from_spanning(b.space, b.matrix @ orthogonal_companion(normal_nullspace(b)).basis),
+        orthogonal_companion(range_of(b)),
+    )
 
 
 def solve_min_ims_norm(b, c, seed=0):
@@ -195,15 +225,10 @@ def solve_min_ims_norm(b, c, seed=0):
     equivalently X1 = (I-P')X0 for any normal-equation solution X0.
     """
     sp = b.space
-    range_sub = range_of(b)
-    null_bb = nullspace_of(b.adjoint() @ b)
-    range_ok = range_sub.classification.nonnegative
+    null_bb = normal_nullspace(b)
+    range_ok = range_of(b).classification.nonnegative
     null_ok = null_bb.classification.nonnegative
-    reachable = subspace_sum(
-        subspace_from_spanning(sp, b.matrix @ orthogonal_companion(null_bb).basis),
-        orthogonal_companion(range_sub),
-    )
-    inclusion = contains_columns(reachable, c.matrix)
+    inclusion = contains_columns(_min_norm_reachable(b), c.matrix)
     conditions = {
         "range_nonnegative": range_ok,
         "nullspace_nonnegative": null_ok,
@@ -219,10 +244,7 @@ def solve_min_ims_norm(b, c, seed=0):
     if reason is not None:
         return SolveReport(False, reason, conditions, None, None, 0.0, {}, seed)
 
-    q = normal_projection(range_sub)
-    p_prime = normal_projection(null_bb)
-    d = reduced_generalized_inverse(b, q, p_prime)
-    x1 = d @ c
+    x1 = _min_norm_inverse(b) @ c
     value = x1.adjoint() @ x1
 
     residual = (b.adjoint() @ (b @ x1 - c)).norm()
@@ -231,7 +253,8 @@ def solve_min_ims_norm(b, c, seed=0):
         "value_spectrum": np.linalg.eigvalsh(herm(sp.gram @ value.matrix)),
     }
     if b.norm() > 0.0:
-        projected = (sp.eye() - p_prime.op) @ normal_equation_solution(b, c)[0]
+        p_prime = normal_onto_normal_nullspace(b).op
+        projected = (sp.eye() - p_prime) @ normal_equation_solution(b, c)[0]
         certs["ims_consistency"] = (projected - x1).norm() / max(1.0, x1.norm())
     manifold = SolutionManifold(x1, isotropic_part(null_bb))
     return SolveReport(True, None, conditions, manifold, value, residual, certs, seed)

@@ -19,9 +19,14 @@ from .core import (
     _subspace_direct,
     decompose_subspace,
     herm,
+    isotropic_part,
+    normal_nullspace,
+    nullspace_of,
     ordered_eigh,
     orthogonal_companion,
+    per_instance,
     range_of,
+    regular_part,
     subspace_from_spanning,
 )
 from .errors import BadProjection, NotComplementary, NotRegular, NotSelfadjoint
@@ -93,11 +98,8 @@ def ando_split(q):
 def normal_projection(s):
     """One normal projection (QQ# = Q#Q) onto an arbitrary subspace."""
     sp = s.space
-    w, u = ordered_eigh(s.gram_restricted)
-    thr = sp.neutral_cutoff()
-    zero = np.abs(w) <= thr
-    s_iso = _subspace_direct(sp, s.basis @ u[:, zero])
-    s_reg = _subspace_direct(sp, s.basis @ u[:, ~zero])
+    s_iso = isotropic_part(s)
+    s_reg = regular_part(s)
 
     if s_reg.dim == s.dim:
         q1 = selfadjoint_projection(s_reg)
@@ -126,6 +128,32 @@ def normal_projection(s):
     eye = np.eye(sp.dim)
     q = q1 + onto_iso @ p_block @ (eye - q1)
     return Projection(Operator(sp, q), s, ProjectionKind.NORMAL)
+
+
+# The projections the solvers build from one operator's subspaces, kept on it.
+
+@per_instance
+def selfadjoint_onto_range(b):
+    """selfadjoint_projection(range_of(b)); R(B) must be regular."""
+    return selfadjoint_projection(range_of(b))
+
+
+@per_instance
+def normal_onto_range(b):
+    """normal_projection(range_of(b))."""
+    return normal_projection(range_of(b))
+
+
+@per_instance
+def normal_onto_nullspace(b):
+    """normal_projection(nullspace_of(b))."""
+    return normal_projection(nullspace_of(b))
+
+
+@per_instance
+def normal_onto_normal_nullspace(b):
+    """normal_projection(normal_nullspace(b)), onto N(B#B)."""
+    return normal_projection(normal_nullspace(b))
 
 
 def companion_identity_check(q, y):

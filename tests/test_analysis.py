@@ -1,0 +1,197 @@
+"""An operator is analysed once: what it keeps changes no answer and makes no cycle.
+
+Operators and subspaces keep what depends on them alone (ranges, null
+spaces, companions, projections, inverses) on first use. These tests pin the
+three promises that make that safe: every answer equals the one a fresh
+operator gives, the projections the library builds for itself pass the
+public validators it no longer runs on them, and nothing kept refers back to
+its owner.
+"""
+
+import gc
+
+import numpy as np
+import pytest
+
+import kreinls as k
+from conftest import (
+    SIGNATURES,
+    feasible_rhs,
+    make_signature_space,
+    operator_with_range,
+    operator_with_range_and_kernel,
+    random_subspace,
+    subspace_choices,
+)
+from kreinls.pinv import _min_norm_inverse
+from kreinls.projections import normal_onto_normal_nullspace, normal_onto_range
+from test_properties import degenerate_instance
+
+
+def _regular_instances():
+    """Regular ranges (conftest frames), half of them with a regular null space too."""
+    out = []
+    rng = np.random.default_rng(83)
+    for p, q in SIGNATURES:
+        sp = make_signature_space(p, q, seed=5 * p + q)
+        for n_pos, n_neg, t in subspace_choices(sp):
+            if t:
+                continue
+            r_sub = random_subspace(sp, rng, n_pos, n_neg)
+            b = operator_with_range(sp, r_sub, rng)
+            out.append((b, feasible_rhs(sp, b, rng)))
+            rest = sp.dim - r_sub.dim
+            if 0 < rest <= p:
+                n_sub = random_subspace(sp, rng, n_pos=rest)
+                b = operator_with_range_and_kernel(sp, r_sub, n_sub, rng)
+                out.append((b, feasible_rhs(sp, b, rng)))
+    return out
+
+
+def _degenerate_instances(count):
+    out = []
+    seed = 0
+    while len(out) < count:
+        b, c, _ = degenerate_instance(seed)
+        if c is not None:
+            out.append((b, c))
+        seed += 1
+    return out
+
+
+INSTANCES = _degenerate_instances(40) + _regular_instances()
+
+# the public calls of a benchmark item, and the variational audit
+CALLS = {
+    "range_of": lambda b, c: k.range_of(b),
+    "classify": lambda b, c: k.classify(k.range_of(b)),
+    "orthogonal_companion": lambda b, c: k.orthogonal_companion(k.range_of(b)),
+    "normal_projection": lambda b, c: k.normal_projection(k.range_of(b)),
+    "solve_ims": lambda b, c: k.solve_ims(b, c, seed=4),
+    "krein_moore_penrose": lambda b, c: k.krein_moore_penrose(b, seed=4),
+    "canonical_pair": lambda b, c: k.canonical_pair(b),
+    "solve_min_ims_norm": lambda b, c: k.solve_min_ims_norm(b, c, seed=4),
+    "solve_immso": lambda b, c: k.solve_immso(b, c, seed=4),
+    "mp_variational_check": lambda b, c: k.mp_variational_check(b, seed=4),
+}
+
+
+def _leaves(x, path=""):
+    """(path, value) pairs of every array, verdict and number in a result."""
+    if isinstance(x, k.Operator):
+        yield path, x.matrix
+    elif isinstance(x, k.Subspace):
+        yield path + ".basis", x.basis
+        yield path + ".gram", x.gram_restricted
+        yield path + ".class", x.classification
+    elif isinstance(x, k.Projection):
+        yield from _leaves(x.op, path + ".op")
+        yield from _leaves(x.range_sub, path + ".range")
+        yield path + ".kind", x.kind
+    elif isinstance(x, k.GeneralizedInverse):
+        for name in ("d", "q", "p"):
+            yield from _leaves(getattr(x, name), path + "." + name)
+        yield path + ".kind", x.kind
+    elif isinstance(x, k.SolveReport):
+        yield path + ".head", (x.feasible, x.reason, x.conditions, x.residual_normal_eq, x.seed)
+        if x.manifold is not None:
+            yield from _leaves(x.manifold.particular, path + ".solution")
+            yield from _leaves(x.manifold.perturbation_space, path + ".perturbation")
+        if x.value is not None:
+            yield from _leaves(x.value, path + ".value")
+        for name, value in x.certificates.items():
+            yield path + ".cert." + name, value
+    else:
+        yield path, x
+
+
+def _same(got, want):
+    got, want = list(_leaves(got)), list(_leaves(want))
+    assert [p for p, _ in got] == [p for p, _ in want]
+    for (path, a), (_, b) in zip(got, want):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            assert a.shape == b.shape and np.array_equal(a, b), path
+        else:
+            assert a == b, path
+
+
+def _fresh(b, c):
+    sp = b.space
+    return sp.operator(b.matrix), sp.operator(c.matrix)
+
+
+@pytest.mark.parametrize("index", range(len(INSTANCES)))
+def test_kept_analysis_changes_no_answer(index):
+    """One shared operator, in either call order, answers as a fresh one per call."""
+    b, c = INSTANCES[index]
+    fresh = {name: call(*_fresh(b, c)) for name, call in CALLS.items()}
+    for order in (list(CALLS), list(reversed(CALLS))):
+        shared_b, shared_c = _fresh(b, c)
+        for name in order:
+            _same(CALLS[name](shared_b, shared_c), fresh[name])
+
+
+def test_stated_rank_neither_returns_nor_replaces_the_kept_range(m4):
+    b = m4.operator(np.diag([1.0, 1.0, 1.0, 0.0]))
+    stated = k.range_of(b, rank=2)
+    kept = k.range_of(b)
+    assert stated.dim == 2 and kept.dim == 3
+    assert k.range_of(b, rank=1).dim == 1
+    assert k.range_of(b) is kept
+
+
+@pytest.mark.parametrize("index", range(len(INSTANCES)))
+def test_public_validators_accept_the_built_projections(index):
+    """The projections canonical_pair and solve_min_ims_norm trust pass validation."""
+    b, c = _fresh(*INSTANCES[index])
+    gi = k.canonical_pair(b)
+    again = k.generalized_inverse(b, gi.q.matrix, gi.p.matrix)
+    assert np.array_equal(again.d.matrix, gi.d.matrix)
+    assert again.kind is gi.kind
+
+    rep = k.solve_min_ims_norm(b, c)
+    q, p_prime = normal_onto_range(b), normal_onto_normal_nullspace(b)
+    d = k.reduced_generalized_inverse(b, q.matrix, p_prime.matrix)
+    assert np.array_equal(d.matrix, _min_norm_inverse(b).matrix)
+    if rep.feasible:
+        assert np.array_equal((d @ c).matrix, rep.solution.matrix)
+
+
+def _every_public_call(b, c):
+    sp = b.space
+    for call in CALLS.values():
+        call(b, c)
+    r = k.range_of(b)
+    k.isotropic_part(r)
+    k.decompose_subspace(r)
+    k.nullspace_of(b)
+    k.solve_imax(b, c)
+    k.indefinite_inverse(b)
+    k.one_two_pair(b)
+    gi = k.canonical_pair(b)
+    k.generalized_inverse(b, gi.q, gi.p)
+    k.rebuild_generalized_inverse(b, gi.d)
+    k.reduced_generalized_inverse(b, normal_onto_range(b), normal_onto_normal_nullspace(b))
+    k.split_operator(b)
+    ims = k.solve_ims(b, c)
+    if ims.feasible:
+        k.certify_min(b, c, ims.solution, trials=20)
+    if k.solve_immso(b, c).feasible:
+        z0 = k.solve_immso(b, c).solution
+        k.verify_immso(z0, b, c, j=k.random_fundamental_symmetry(sp, np.random.default_rng(0)))
+        k.minmax_value_identity(b, c)
+
+
+def test_no_reference_cycles():
+    """Nothing an operator or subspace keeps refers back to it."""
+    picks = INSTANCES[:3] + INSTANCES[-2:]
+    _every_public_call(*_fresh(*picks[0]))  # warm up
+    gc.collect()
+    gc.disable()
+    try:
+        for b, c in picks:
+            _every_public_call(*_fresh(b, c))
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0

@@ -33,6 +33,16 @@ def test_space_rejects_non_square():
         k.make_space(np.ones((2, 3)))
 
 
+def test_space_rejects_empty():
+    with pytest.raises(k.DimensionMismatch, match="empty"):
+        k.make_space(np.zeros((0, 0)))
+
+
+def test_space_rejects_non_finite():
+    with pytest.raises(k.KreinError, match="non-finite"):
+        k.make_space(np.diag([1.0, np.nan]))
+
+
 @pytest.mark.parametrize("p,q", SIGNATURES)
 def test_fundamental_decomposition(p, q):
     sp = make_signature_space(p, q, seed=11 * p + q)
@@ -126,6 +136,13 @@ def test_operator_space_mismatch(m2, m4):
         m2.eye() @ m4.eye()
     with pytest.raises(k.DimensionMismatch):
         m2.operator(np.eye(3))
+
+
+def test_operator_rejects_non_finite(m2):
+    with pytest.raises(k.KreinError, match="non-finite"):
+        m2.operator(np.full((2, 2), np.nan))
+    with pytest.raises(k.KreinError, match="non-finite"):
+        k.solve_ims(m2.operator([[np.inf, 0.0], [0.0, 1.0]]), m2.eye())
 
 
 def test_operator_matrix_read_only(m2):

@@ -223,6 +223,13 @@ def test_certify_min_non_finite_competitor_is_an_error(m2):
         k.certify_min(b, b, m2.eye(), trials=50)
 
 
+def test_certify_min_names_the_non_finite_competitor(m2):
+    # B#B is still finite at this scale, so the overflow happens in a competitor's value
+    b = m2.operator(1e154 * np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(k.KreinError, match="competitor"):
+        k.certify_min(b, b, m2.eye(), trials=50)
+
+
 def test_hilbert_limit_random_suite():
     space = k.make_space(np.eye(3))
     rng = np.random.default_rng(61)
