@@ -128,7 +128,7 @@ class KreinSpace:
     """
 
     def __init__(self, gram, tol=None):
-        self.tol = tol if tol is not None else Tolerances()
+        self._tol = tol if tol is not None else Tolerances()
         gram = np.asarray(gram, dtype=complex)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise DimensionMismatch("gram matrix must be square")
@@ -159,6 +159,9 @@ class KreinSpace:
         self._chol_r, self._chol_rinv = metric_factors(self.metric)
         for a in (self.gram, self.j, self.metric, self.basis_plus, self.basis_minus):
             a.setflags(write=False)
+
+    # read-only: an analysis kept on an operator must not go stale
+    tol = property(lambda self: self._tol)
 
     def eye(self):
         return Operator(self, np.eye(self.dim, dtype=complex))
@@ -210,17 +213,11 @@ def metric_factors(metric):
     return r, np.linalg.inv(r)
 
 
-def hilbert_pinv(space, a, metric=None, floor=0.0):
+def hilbert_pinv(space, a, metric=None):
     """Pseudoinverse with respect to a Hilbert metric (the space's by default).
 
     Conjugates with the Cholesky factor of the metric, applies the classical
     pseudoinverse, and maps back; the rank cutoff matches space.rank.
-
-    `floor` is an absolute noise level in `a` below which singular values are
-    treated as zero regardless of the relative cutoff.  Callers that form `a`
-    as a product (e.g. B^#B) should pass the roundoff scale of that product:
-    its largest singular value can be much smaller than the factors, and then
-    a purely numerical singular value survives the relative test.
     """
     a = np.asarray(a, dtype=complex)
     if metric is None:
@@ -230,8 +227,6 @@ def hilbert_pinv(space, a, metric=None, floor=0.0):
     m = r @ a @ rinv
     u, sing, vh = np.linalg.svd(m)
     cut = space.tol.rank_factor(space.dim) * (sing[0] if sing.size else 0.0)
-    if floor:
-        cut = max(cut, floor * spectral_norm(r) * spectral_norm(rinv))
     keep = sing > cut
     if not keep.any():
         return np.zeros_like(a.conj().T)
@@ -253,14 +248,15 @@ def hilbert_inner(space, x, y):
 # operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """Dense complex matrix bound to a space.
 
     What depends on the operator alone (its norm, adjoint, range, null space,
-    N(T#T), metric pseudoinverse, and the projections and inverses the
-    solvers build from them) is computed on first use and kept on the
-    instance (see per_instance).
+    the analysis of its normal equation, metric pseudoinverse, and the
+    projections and inverses the solvers build from them) is computed on
+    first use and kept on the instance (see per_instance).  Operators compare
+    by identity.
     """
 
     space: KreinSpace
@@ -314,12 +310,6 @@ class Operator:
 
 
 @per_instance
-def normal_operator(t):
-    """T#T, the operator of the normal equation T#T X = T#C."""
-    return t.adjoint() @ t
-
-
-@per_instance
 def pseudo_inverse(t):
     """The metric pseudoinverse of T: its canonical {1,2}-inverse."""
     return Operator(t.space, hilbert_pinv(t.space, t.matrix))
@@ -361,10 +351,6 @@ class SubspaceClass:
     n_zero: int
 
     @property
-    def isotropic_dim(self):
-        return self.n_zero
-
-    @property
     def nonnegative(self):
         return self.n_negative == 0
 
@@ -404,12 +390,13 @@ def _classify_gram(gr, thr):
     return SubspaceClass(kind, n_zero == 0, True, n_pos, n_neg, n_zero)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """Column span with a canonical Hilbert-orthonormal basis.
 
     gram_restricted is basis* G basis exactly as stored; classification is
-    derived from its eigenvalues at the space's neutral cutoff.
+    derived from its eigenvalues at the space's neutral cutoff.  Subspaces
+    compare by identity.
     """
 
     space: KreinSpace
@@ -535,7 +522,7 @@ def _range(t):
 def nullspace_matrix(space, a):
     """Orthonormal (standard) basis of null(a); raw ndarray, n x k."""
     a = np.asarray(a, dtype=complex)
-    if spectral_norm(a) == 0.0:
+    if not a.any():
         return np.eye(space.dim, dtype=complex)
     _, sv, vh = np.linalg.svd(a)
     r = _rank_from_singulars(sv, space.tol.rank_factor(space.dim))
@@ -548,9 +535,38 @@ def nullspace_of(t):
     return subspace_from_spanning(t.space, nullspace_matrix(t.space, t.matrix))
 
 
+@dataclass(frozen=True, eq=False)
+class NormalEquation:
+    """T#(TX - C) = 0 read off the range analysis of T; T#T is never formed.
+
+    With U_reg the kept basis of the regular part of R(T) and K = U_reg* G T,
+    a C Krein-orthogonal to the isotropic part of R(T) gives T#(TX - C) = 0
+    iff K X = U_reg* G C, and N(T#T) = N(K).  K has full row rank dim S_reg,
+    so one SVD of K R^-1 (R the metric's Cholesky factor), its rank stated,
+    gives pinv = R^-1 (K R^-1)^+, X0 = pinv coupling C of minimum norm, and
+    the metric-orthonormal basis R^-1 V_null of N(T#T).
+    """
+
+    coupling: np.ndarray  # U_reg* G: K = coupling T
+    pinv: np.ndarray
+    nullspace: Subspace
+
+
+@per_instance
+def normal_equation(t):
+    sp = t.space
+    coupling = regular_part(range_of(t)).basis.conj().T @ sp.gram
+    rinv = sp._chol_rinv
+    u, s, vh = np.linalg.svd(coupling @ t.matrix @ rinv)  # s.size = dim S_reg, stated
+    pinv = rinv @ (vh[: s.size].conj().T / s) @ u.conj().T
+    for a in (coupling, pinv):
+        a.setflags(write=False)
+    return NormalEquation(coupling, pinv, _subspace_direct(sp, rinv @ vh[s.size :].conj().T))
+
+
 def normal_nullspace(t):
     """N(T#T): the directions the normal equation leaves free."""
-    return nullspace_of(normal_operator(t))
+    return normal_equation(t).nullspace
 
 
 # ---------------------------------------------------------------------------
@@ -605,16 +621,16 @@ def contains_columns(s, columns):
     return s.space.rank(stacked) == s.dim
 
 
-def sum_with_companion_contains(s, columns):
-    """Columns lie in S + S^[⊥] = (S ∩ S^[⊥])^[⊥]: the solvers' feasibility test.
+def krein_orthogonal(basis, c):
+    """R(C) is Krein-orthogonal to the span of a metric-orthonormal basis, up to
+    the neutral cutoff that decides isotropy times the kept norm of C."""
+    sp = c.space
+    return spectral_norm(basis.conj().T @ sp.gram @ c.matrix) <= sp.neutral_cutoff() * c.norm()
 
-    The columns must be Krein-orthogonal to the isotropic part of S, up to
-    the neutral cutoff that decides isotropy, relative to the columns' norm.
-    """
-    cols = np.asarray(columns, dtype=complex)
-    iso = isotropic_part(s).basis
-    cut = s.space.neutral_cutoff() * spectral_norm(cols)
-    return spectral_norm(iso.conj().T @ s.space.gram @ cols) <= cut
+
+def sum_with_companion_contains(s, c):
+    """R(C) lies in S + S^[⊥] = (S ∩ S^[⊥])^[⊥]: the solvers' feasibility test."""
+    return krein_orthogonal(isotropic_part(s).basis, c)
 
 
 def subspace_sum(s1, s2):
@@ -652,4 +668,4 @@ def neutral_range(t):
     scale = t.norm()
     if scale == 0.0:
         return True
-    return normal_operator(t).norm() <= t.space.tol.num * scale**2
+    return (t.adjoint() @ t).norm() <= t.space.tol.num * scale**2

@@ -4,8 +4,10 @@ Solvers report rather than raise: a SolveReport carries feasibility, the
 violated condition names when infeasible, the particular solution plus the
 admissible perturbation space when feasible, the attained value operator,
 and residual certificates. The particular solution is always the minimum
-Hilbert-Frobenius-norm solution of the normal equation B#B X = B#C, which
-reduces to the classical least-squares choice when G = I.
+Hilbert-Frobenius-norm solution of the normal equation B#(BX - C) = 0, which
+reduces to the classical least-squares choice when G = I. No solver forms
+B#B, whose zero part is roundoff: X0 and N(B#B) come from the kept range
+analysis (core.NormalEquation).
 """
 
 from dataclasses import dataclass, field
@@ -16,15 +18,12 @@ from .core import (
     Operator,
     full_subspace,
     herm,
-    hilbert_pinv,
     isotropic_part,
+    normal_equation,
     normal_nullspace,
-    normal_operator,
     nullspace_of,
-    per_instance,
     pseudo_inverse,
     range_of,
-    spectral_norm,
     subspace_within,
     sum_with_companion_contains,
 )
@@ -88,36 +87,19 @@ def _join_reasons(checks):
 # ---------------------------------------------------------------------------
 
 def normal_equation_solution(b, c, metric=None):
-    """Minimum-norm solution of B#B X = B#C and its residual norm.
+    """Minimum-norm solution X0 = R^-1 (K R^-1)^+ U_reg* G C of B#(BX - C) = 0.
 
-    The norm being minimized is the Hilbert-Frobenius norm of the metric
-    (the space's cached one unless another positive-definite metric is
-    supplied, e.g. from an alternative fundamental decomposition).
+    C must pass the feasibility test. The norm being minimized is the
+    Hilbert-Frobenius norm of the metric: the space's cached one, or another
+    positive-definite metric (e.g. from an alternative fundamental
+    decomposition), whose minimizer drops X0's part along N(B#B).
     """
-    a = normal_operator(b).matrix
-    f = (b.adjoint() @ c).matrix
-    if metric is None:
-        inv = _normal_pinv(b)
-    else:
-        inv = hilbert_pinv(b.space, a, metric=metric, floor=_normal_noise(b))
-    x0 = inv @ f
-    return Operator(b.space, x0), spectral_norm(a @ x0 - f)
-
-
-def _normal_noise(b):
-    # B#B annihilates any neutral range direction exactly, but the float
-    # product leaves residue of this size there; without the floor a pure
-    # roundoff singular value can survive the relative cutoff and get
-    # inverted.  The floor scales with the factors, so scaling B and C
-    # together leaves X0 unchanged.
-    return b.space.dim * np.finfo(float).eps * b.adjoint().norm() * b.norm()
-
-
-@per_instance
-def _normal_pinv(b):
-    inv = hilbert_pinv(b.space, normal_operator(b).matrix, floor=_normal_noise(b))
-    inv.setflags(write=False)
-    return inv
+    eq = normal_equation(b)
+    x0 = eq.pinv @ (eq.coupling @ c.matrix)
+    if metric is not None:
+        n = eq.nullspace.basis
+        x0 = x0 - n @ np.linalg.solve(n.conj().T @ metric @ n, n.conj().T @ metric @ x0)
+    return Operator(b.space, x0)
 
 
 def _attained_value(b, c, x0):
@@ -159,18 +141,18 @@ def _solve_extremal(b, c, sign_condition, sign_reason, seed):
         return SolveReport(False, REASON_ZERO_OPERATOR, conditions, None, None, 0.0, {}, seed)
 
     range_sub = range_of(b)
-    cls = range_sub.classification
-    inclusion = sum_with_companion_contains(range_sub, c.matrix)
-    sign_ok = sign_condition(cls)
+    inclusion = sum_with_companion_contains(range_sub, c)
+    sign_ok = sign_condition(range_sub.classification)
     conditions = {"range_inclusion": inclusion, sign_reason[0]: sign_ok}
     reason = _join_reasons([(inclusion, REASON_INCLUSION), (sign_ok, sign_reason[1])])
     if reason is not None:
         return SolveReport(False, reason, conditions, None, None, 0.0, {}, seed)
 
-    x0, residual = normal_equation_solution(b, c)
+    x0 = normal_equation_solution(b, c)
     value = _attained_value(b, c, x0)
     manifold = SolutionManifold(x0, normal_nullspace(b))
     certs = _value_certificates(b, c, x0, value, inclusion)
+    residual = (b.adjoint() @ (b @ x0 - c)).norm()
     return SolveReport(True, None, conditions, manifold, value, residual, certs, seed)
 
 
@@ -186,7 +168,7 @@ def has_indefinite_inverse(b):
 def regular_range_rank_check(b):
     """Independent regularity test: R(B#) = R(B#B) as a rank statement."""
     sp = b.space
-    return sp.rank(b.adjoint().matrix) == sp.rank(normal_operator(b).matrix)
+    return sp.rank(b.adjoint().matrix) == sp.rank((b.adjoint() @ b).matrix)
 
 
 def indefinite_inverse(b, seed=0):
@@ -219,12 +201,13 @@ def indefinite_inverse_in_range(b, c, seed=0):
     Krein-orthogonal to the isotropic part of R(B). X0 is the min-max Z1 part.
     """
     range_sub = range_of(b)
-    inclusion = sum_with_companion_contains(range_sub, c.matrix)
+    inclusion = sum_with_companion_contains(range_sub, c)
     conditions = {"range_inclusion": inclusion}
     if not inclusion:
         return SolveReport(False, REASON_INCLUSION, conditions, None, None, 0.0, {}, seed)
 
-    x0, residual = normal_equation_solution(b, c)
+    x0 = normal_equation_solution(b, c)
+    residual = (b.adjoint() @ (b @ x0 - c)).norm()
     value = _attained_value(b, c, x0)
     certs = {"value_spectrum": _value_spectrum(value)}
     if range_sub.classification.regular:

@@ -63,13 +63,13 @@ def verify_immso(z0, b, c, j=None, seed=0):
     the check in that decomposition's metric.
     """
     sp = b.space
-    if not sum_with_companion_contains(range_of(b), c.matrix):
+    if not sum_with_companion_contains(range_of(b), c):
         raise InfeasibleInstance("stationary problem has no solution for this right-hand side")
     metric = None
     if j is not None:
         jm = j.matrix if isinstance(j, Operator) else np.asarray(j, dtype=complex)
         metric = herm(sp.gram @ jm)
-    z1, _ = normal_equation_solution(b, c, metric=metric)
+    z1 = normal_equation_solution(b, c, metric=metric)
     gap = b @ (z0 - z1)
     # a gap that is roundoff relative to the problem data is a zero gap
     scale = b.norm() * max(z0.norm(), z1.norm(), 1.0)
@@ -96,12 +96,6 @@ def random_fundamental_symmetry(space, rng, scale=0.3):
     return Operator(space, u @ space.j @ u_sharp)
 
 
-def _half_solution(bb, cc):
-    if bb.norm() == 0.0:
-        return bb.space.zero()
-    return normal_equation_solution(bb, cc)[0]
-
-
 def minmax_value_identity(b, c):
     """Attained values of both optimization orders over the split of B.
 
@@ -111,7 +105,7 @@ def minmax_value_identity(b, c):
     """
     if b.space is not c.space:
         raise SpaceMismatch("operators live on different spaces")
-    if not sum_with_companion_contains(range_of(b), c.matrix):
+    if not sum_with_companion_contains(range_of(b), c):
         raise InfeasibleInstance("min-max problem has no solution for this right-hand side")
 
     split = split_operator(b)
@@ -121,13 +115,13 @@ def minmax_value_identity(b, c):
         return r.adjoint() @ r
 
     # max over Y of (min over X): the inner minimizer does not depend on Y
-    x0 = _half_solution(split.b_plus, c)
-    y0 = _half_solution(split.b_minus, c - split.b_plus @ x0)
+    x0 = normal_equation_solution(split.b_plus, c)
+    y0 = normal_equation_solution(split.b_minus, c - split.b_plus @ x0)
     value_maxmin = attained(x0, y0)
 
     # min over X of (max over Y), mirrored
-    y1 = _half_solution(split.b_minus, c)
-    x1 = _half_solution(split.b_plus, c - split.b_minus @ y1)
+    y1 = normal_equation_solution(split.b_minus, c)
+    x1 = normal_equation_solution(split.b_plus, c - split.b_minus @ y1)
     value_minmax = attained(x1, y1)
 
     return value_minmax, value_maxmin

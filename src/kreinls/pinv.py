@@ -15,19 +15,20 @@ import numpy as np
 from .core import (
     Operator,
     classify,
-    contains_columns,
     herm,
     hilbert_pinv,
     isotropic_part,
+    krein_orthogonal,
+    normal_equation,
     normal_nullspace,
     nullspace_of,
     orthogonal_companion,
     per_instance,
     pseudo_inverse,
     range_of,
+    regular_part,
     subspace_equal,
     subspace_from_spanning,
-    subspace_sum,
     subspace_within,
     zero_subspace,
 )
@@ -208,54 +209,60 @@ def _min_norm_inverse(b):
 
 
 @per_instance
-def _min_norm_reachable(b):
-    """B(N(B#B)^[⊥]) + R(B)^[⊥]: the right-hand sides solve_min_ims_norm can reach."""
-    return subspace_sum(
-        subspace_from_spanning(b.space, b.matrix @ orthogonal_companion(normal_nullspace(b)).basis),
-        orthogonal_companion(range_of(b)),
-    )
+def _min_norm_unreachable(b):
+    """A metric-orthonormal basis of T^[⊥], T = B(N(B#B)^[⊥]) + R(B)^[⊥].
+
+    T^[⊥] = {y ∈ R(B) : B#y ∈ N(B#B)} = S_iso ⊕ {y ∈ S_reg : B#y ∈ iso N(B#B)},
+    as B# kills S_iso and B#(R(B)) ∩ N(B#B) = iso N(B#B). Each w there is B#y
+    for y = U_reg a, a = pinv* G w (G^-1 K* a = w); the dimension is stated.
+    """
+    eq = normal_equation(b)
+    s_iso = isotropic_part(range_of(b)).basis
+    if eq.nullspace.classification.regular:
+        return s_iso
+    w = isotropic_part(eq.nullspace).basis
+    y = regular_part(range_of(b)).basis @ (eq.pinv.conj().T @ (b.space.gram @ w))
+    # Y ⊆ S_reg is metric-orthogonal to S_iso, so the bases stack as they are
+    return np.hstack([s_iso, subspace_from_spanning(b.space, y, rank=w.shape[1]).basis])
 
 
 def solve_min_ims_norm(b, c, seed=0):
     """Minimize X#X over the indefinite-least-squares solutions of BX = C.
 
     Solvable iff R(B) and N(B#B) are nonnegative and R(C) lies inside
-    B(N(B#B)^[⊥]) + R(B)^[⊥]. The minimizer is X1 = DC for the reduced
-    generalized inverse D built from canonical normal projections;
-    equivalently X1 = (I-P')X0 for any normal-equation solution X0.
+    T = B(N(B#B)^[⊥]) + R(B)^[⊥], i.e. iff C is Krein-orthogonal to T^[⊥].
+    The minimizer is X1 = (I-P')X0 for the normal-equation solution X0 and
+    the canonical normal projection P' onto N(B#B); the ims_consistency
+    certificate compares it with DC for the reduced generalized inverse D.
     """
     sp = b.space
     null_bb = normal_nullspace(b)
     range_ok = range_of(b).classification.nonnegative
     null_ok = null_bb.classification.nonnegative
-    inclusion = contains_columns(_min_norm_reachable(b), c.matrix)
+    inclusion = krein_orthogonal(_min_norm_unreachable(b), c)
     conditions = {
         "range_nonnegative": range_ok,
         "nullspace_nonnegative": null_ok,
         "range_inclusion": inclusion,
     }
-    reason = _join_reasons(
-        [
-            (range_ok, "RangeNotNonnegative"),
-            (null_ok, "NullspaceNotNonnegative"),
-            (inclusion, "RangeInclusionFails"),
-        ]
-    )
+    reason = _join_reasons([
+        (range_ok, "RangeNotNonnegative"),
+        (null_ok, "NullspaceNotNonnegative"),
+        (inclusion, "RangeInclusionFails"),
+    ])
     if reason is not None:
         return SolveReport(False, reason, conditions, None, None, 0.0, {}, seed)
 
-    x1 = _min_norm_inverse(b) @ c
+    p_prime = normal_onto_normal_nullspace(b).op
+    x1 = (sp.eye() - p_prime) @ normal_equation_solution(b, c)
     value = x1.adjoint() @ x1
 
     residual = (b.adjoint() @ (b @ x1 - c)).norm()
     certs = {
         "range_constraint": subspace_within(range_of(x1), orthogonal_companion(null_bb)),
         "value_spectrum": np.linalg.eigvalsh(herm(sp.gram @ value.matrix)),
+        "ims_consistency": (_min_norm_inverse(b) @ c - x1).norm() / max(1.0, x1.norm()),
     }
-    if b.norm() > 0.0:
-        p_prime = normal_onto_normal_nullspace(b).op
-        projected = (sp.eye() - p_prime) @ normal_equation_solution(b, c)[0]
-        certs["ims_consistency"] = (projected - x1).norm() / max(1.0, x1.norm())
     manifold = SolutionManifold(x1, isotropic_part(null_bb))
     return SolveReport(True, None, conditions, manifold, value, residual, certs, seed)
 

@@ -151,6 +151,25 @@ def test_operator_matrix_read_only(m2):
         t.matrix[0, 0] = 5.0
 
 
+def test_operators_and_subspaces_compare_by_identity(m2):
+    t = m2.eye()
+    assert (t == m2.eye()) is False
+    assert (t == t) is True
+    s = k.range_of(t)
+    assert (s == k.range_of(m2.eye())) is False
+    assert (s == k.range_of(t)) is True
+
+
+def test_space_tolerances_are_read_only():
+    """A kept analysis cannot go stale: the tolerances it was decided at stay."""
+    sp = k.make_space(np.diag([1.0, 1.0, -1.0]))
+    b = sp.operator(np.diag([1.0, 1e-9, 0.0]))
+    assert k.range_of(b).dim == 2
+    with pytest.raises(AttributeError):
+        sp.tol = k.Tolerances(rank=1e-6)
+    assert sp.tol == k.Tolerances()
+
+
 # ---------------------------------------------------------------------------
 # subspaces: canonical form and classification
 # ---------------------------------------------------------------------------

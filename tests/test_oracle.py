@@ -125,11 +125,12 @@ def _certify_min_loop(b, c, x0, trials=1000, seed=0):
     return Certificate(True, None, trials, float(min_seen))
 
 
-def _oracle_instance(seed, n, p, cond=0.0, rank=None, solve=False):
+def _oracle_instance(seed, n, p, cond=0.0, rank=None, solve=False, plant=0.0):
     """(B, C, X0) in a space of inertia (p, n - p) with Gram condition 10^(2 cond).
 
     Columns of B from `rank` on are zero; with solve=True, X0 is the
-    solve_ims solution, otherwise a Gaussian matrix.
+    solve_ims solution, otherwise a Gaussian matrix. A nonzero `plant` adds
+    that multiple of a Gaussian matrix to X0, which makes it non-minimal.
     """
     rng = np.random.default_rng(seed)
     d = np.concatenate([np.ones(p), -np.ones(n - p)]) * np.logspace(-cond, cond, n)
@@ -142,6 +143,8 @@ def _oracle_instance(seed, n, p, cond=0.0, rank=None, solve=False):
     b = sp.operator(m)
     c = sp.operator(gaussian(rng, (n, n)))
     x0 = k.solve_ims(b, c).solution if solve else sp.operator(gaussian(rng, (n, n)))
+    if plant:
+        x0 = sp.operator(x0.matrix + plant * gaussian(rng, (n, n)))
     return b, c, x0
 
 
@@ -152,12 +155,13 @@ ORACLE_REFERENCE_CASES = [
     ((2, 3, 3, 0.0, None, True), 1000, "accept"),  # N(B#B) = {0}
     ((2, 3, 2, 0.0, 0, False), 1000, "accept"),  # B = 0: N(B#B) is everything
     ((3, 3, 1, 0.0, None, False), 1000, "reject at 1"),
-    ((2, 2, 2, 3.0, None, True), 60, "reject later"),  # eigenvalue test, trial 5
-    ((36, 2, 2, 3.0, None, True), 60, "reject later"),  # eigenvalue test, trial 14
+    ((2, 2, 2, 3.0, None, True, 10.0**-5.5), 60, "reject later"),  # eigenvalue test, trial 8
+    ((36, 2, 2, 3.0, None, True), 60, "reject later"),  # skew test, trial 8
     ((4, 2, 2, 3.0, None, True), 60, "reject at 1"),  # skew test, nothing seen yet
     ((3, 2, 2, 3.0, None, True), 60, "reject later"),  # skew test, first of a chunk
-    ((14, 2, 2, 3.0, None, True), 60, "reject later"),  # skew test, inside a chunk
-    ((8, 3, 3, 3.0, None, True), 60, "reject later"),  # skew test, own eigenvalue lowest
+    ((14, 2, 2, 3.0, None, True), 60, "reject later"),  # skew test, first of a chunk
+    # skew test inside a chunk (trial 5), own eigenvalue lowest
+    ((8, 3, 3, 3.0, None, True, 1e-12), 60, "reject later"),
     ((4, 40, 40, 0.0, 30, True), 300, "accept"),  # the chunk cap binds
 ]
 

@@ -5,7 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import kreinls as k
-from conftest import gaussian, operator_with_range_and_kernel, random_subspace
+from conftest import (
+    SIGNATURES,
+    gaussian,
+    make_signature_space,
+    operator_with_range_and_kernel,
+    random_subspace,
+)
 
 B1 = np.diag([1.0, 0.0])
 B3 = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -242,6 +248,50 @@ def test_min_norm_beats_sampled_minimizers(h2):
         diff = y.adjoint() @ y - rep.value
         eigs = np.linalg.eigvalsh(0.5 * ((h2.gram @ diff.matrix) + (h2.gram @ diff.matrix).conj().T))
         assert eigs.min() > -1e-9 * max(1.0, y.norm()) ** 2
+
+
+def _degenerate_normal_nullspace_draws(count):
+    """(B, N) with R(B) regular and N = N(B) = N(B#B) nonnegative degenerate.
+
+    The spaces decide ranks at 1e-12: at the default dim * eps cutoff a
+    roundoff singular value of the constructed B survives on 2 of these 300
+    draws and R(B) comes out one too large, which is not what this tests.
+    """
+    rng = np.random.default_rng(71)
+    tol = k.Tolerances(rank=1e-12)
+    spaces = [
+        k.make_space(make_signature_space(p, q, seed=11 + p + 2 * q).gram, tol)
+        for p, q in SIGNATURES
+    ]
+    shapes = []
+    for sp in spaces:
+        p, q = sp.signature
+        for t in range(1, min(p, q) + 1):
+            for a in range(p - t + 1):
+                rest = sp.dim - a - t  # dim R(B)
+                for rp in range(max(0, rest - q), min(p, rest) + 1):
+                    if rest:
+                        shapes.append((sp, (a, 0, t), (rp, rest - rp, 0)))
+    for i in range(count):
+        sp, n_in, r_in = shapes[i % len(shapes)]
+        n_sub = random_subspace(sp, rng, *n_in)
+        r_sub = random_subspace(sp, rng, *r_in)
+        yield operator_with_range_and_kernel(sp, r_sub, n_sub, rng), n_sub, rng
+
+
+def test_min_norm_inclusion_with_degenerate_normal_nullspace():
+    """R(C) ⊆ B(N(B#B)^[⊥]) + R(B)^[⊥] is decided against the construction."""
+    for b, n_sub, rng in _degenerate_normal_nullspace_draws(300):
+        sp = b.space
+        n = sp.dim
+        free = k.orthogonal_companion(n_sub).basis
+        comp = k.orthogonal_companion(k.range_of(b)).basis
+        reach = b.matrix @ free @ gaussian(rng, (free.shape[1], n))
+        reach = reach + comp @ gaussian(rng, (comp.shape[1], n))
+        for c, want in ((reach, True), (gaussian(rng, (n, n)), False)):
+            for bs, cs in ((1.0, 1.0), (1.0, 1e100), (1e-100, 1.0)):
+                rep = k.solve_min_ims_norm(sp.operator(bs * b.matrix), sp.operator(cs * c))
+                assert rep.conditions["range_inclusion"] == want, (bs, cs)
 
 
 # ---------------------------------------------------------------------------
