@@ -213,11 +213,11 @@ def metric_factors(metric):
     return r, np.linalg.inv(r)
 
 
-def hilbert_pinv(space, a, metric=None):
+def hilbert_pinv(space, a, metric=None, max_rank=None):
     """Pseudoinverse with respect to a Hilbert metric (the space's by default).
 
     Conjugates with the Cholesky factor of the metric, applies the classical
-    pseudoinverse, and maps back; the rank cutoff matches space.rank.
+    pseudoinverse at space.rank's cutoff, keeping at most max_rank values.
     """
     a = np.asarray(a, dtype=complex)
     if metric is None:
@@ -226,11 +226,10 @@ def hilbert_pinv(space, a, metric=None):
         r, rinv = metric_factors(metric)
     m = r @ a @ rinv
     u, sing, vh = np.linalg.svd(m)
-    cut = space.tol.rank_factor(space.dim) * (sing[0] if sing.size else 0.0)
-    keep = sing > cut
-    if not keep.any():
+    k = _rank_from_singulars(sing[:max_rank], space.tol.rank_factor(space.dim))
+    if not k:
         return np.zeros_like(a.conj().T)
-    inv = (vh[keep].conj().T / sing[keep]) @ u[:, keep].conj().T
+    inv = (vh[:k].conj().T / sing[:k]) @ u[:, :k].conj().T
     return rinv @ inv @ r
 
 

@@ -197,8 +197,8 @@ def reduced_generalized_inverse(b, q, p_prime):
 def _reduced_inverse(b, q_op, p_op):
     """reduced_generalized_inverse for Q, P' this module built itself: no validation."""
     sp = b.space
-    b_red = q_op.adjoint() @ b
-    bt = Operator(sp, hilbert_pinv(sp, b_red.matrix))
+    b_red = q_op.adjoint() @ b  # rank dim S_reg for any projection Q onto R(B): N(Q#) = R(B)^[⊥]
+    bt = Operator(sp, hilbert_pinv(sp, b_red.matrix, max_rank=regular_part(range_of(b)).dim))
     return (sp.eye() - p_op) @ bt @ (q_op.adjoint() @ q_op)
 
 
@@ -218,8 +218,6 @@ def _min_norm_unreachable(b):
     """
     eq = normal_equation(b)
     s_iso = isotropic_part(range_of(b)).basis
-    if eq.nullspace.classification.regular:
-        return s_iso
     w = isotropic_part(eq.nullspace).basis
     y = regular_part(range_of(b)).basis @ (eq.pinv.conj().T @ (b.space.gram @ w))
     # Y ⊆ S_reg is metric-orthogonal to S_iso, so the bases stack as they are
@@ -245,11 +243,13 @@ def solve_min_ims_norm(b, c, seed=0):
         "nullspace_nonnegative": null_ok,
         "range_inclusion": inclusion,
     }
-    reason = _join_reasons([
-        (range_ok, "RangeNotNonnegative"),
-        (null_ok, "NullspaceNotNonnegative"),
-        (inclusion, "RangeInclusionFails"),
-    ])
+    reason = _join_reasons(
+        [
+            (range_ok, "RangeNotNonnegative"),
+            (null_ok, "NullspaceNotNonnegative"),
+            (inclusion, "RangeInclusionFails"),
+        ]
+    )
     if reason is not None:
         return SolveReport(False, reason, conditions, None, None, 0.0, {}, seed)
 

@@ -153,10 +153,11 @@ def test_public_validators_accept_the_built_projections(index):
     q, p_prime = normal_onto_range(b), normal_onto_normal_nullspace(b)
     d = k.reduced_generalized_inverse(b, q.matrix, p_prime.matrix)
     assert np.array_equal(d.matrix, _min_norm_inverse(b).matrix)
-    if rep.feasible:  # D is the solver's cross-check on X1 = (I - P')X0
+    if rep.feasible:  # the validated D reproduces X1 = (I - P')X0
         x1 = rep.solution
         dev = (d @ c - x1).norm() / max(1.0, x1.norm())
         assert rep.certificates["ims_consistency"] == dev
+        assert dev <= 1e-8
 
 
 def _every_public_call(b, c):
