@@ -66,6 +66,15 @@ def spectral_norm(a):
     return float(np.linalg.norm(a, 2))
 
 
+def scaled_to_unit(a, norm):
+    """a / 2^e with 2^(e-1) <= norm < 2^e, or a itself when norm is 0.
+
+    Scaling by a power of two is exact, so a rank or zero test read off the
+    result is that of a, while its products cannot overflow.
+    """
+    return a * np.ldexp(1.0, -np.frexp(norm)[1])
+
+
 def ordered_eigh(a):
     """eigh with eigenvalues sorted descending and deterministic phases.
 
@@ -663,8 +672,12 @@ def solve_douglas(y, z):
 
 
 def neutral_range(t):
-    """True iff R(T) consists of neutral vectors, i.e. T#T vanishes."""
+    """True iff R(T) consists of neutral vectors, i.e. T#T vanishes.
+
+    Tested on T scaled to unit norm (scaled_to_unit), whose U#U cannot overflow.
+    """
     scale = t.norm()
     if scale == 0.0:
         return True
-    return (t.adjoint() @ t).norm() <= t.space.tol.num * scale**2
+    unit = Operator(t.space, scaled_to_unit(t.matrix, scale))
+    return (unit.adjoint() @ unit).norm() <= t.space.tol.num * unit.norm() ** 2

@@ -24,6 +24,7 @@ from .core import (
     nullspace_of,
     pseudo_inverse,
     range_of,
+    scaled_to_unit,
     subspace_within,
     sum_with_companion_contains,
 )
@@ -166,9 +167,14 @@ def has_indefinite_inverse(b):
 
 
 def regular_range_rank_check(b):
-    """Independent regularity test: R(B#) = R(B#B) as a rank statement."""
+    """Independent regularity test: R(B#) = R(B#B) as a rank statement.
+
+    Both ranks are read off B scaled to unit norm (scaled_to_unit), whose B#B
+    cannot overflow.
+    """
     sp = b.space
-    return sp.rank(b.adjoint().matrix) == sp.rank((b.adjoint() @ b).matrix)
+    unit = sp.operator(scaled_to_unit(b.matrix, b.norm()))
+    return sp.rank(unit.adjoint().matrix) == sp.rank((unit.adjoint() @ unit).matrix)
 
 
 def indefinite_inverse(b, seed=0):

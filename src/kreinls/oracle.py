@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import herm, nullspace_matrix, spectral_norm
+from .core import herm, nullspace_matrix, scaled_to_unit, spectral_norm
 from .errors import KreinError, SpaceMismatch
 
 
@@ -21,8 +21,9 @@ class Certificate:
 
     witness is present whenever verdict is False and can be fed back into the
     defining scalar inequality to reproduce the violation. min_eigen_seen is
-    the smallest order-defining eigenvalue encountered (for the sampling
-    checks) or the worst relative deviation (for hilbert_limit_check).
+    the smallest order-defining eigenvalue (is_krein_positive, and certify_min
+    on accept), the failing competitor's (certify_min on reject), or the
+    worst relative deviation (hilbert_limit_check).
     """
 
     verdict: bool
@@ -59,90 +60,85 @@ def operator_leq(s, t):
 _CHUNK_ENTRIES = 1 << 16  # entries in one stacked (T, n, n) array of competitors
 
 
-def _ims_value(b, c, x):
-    r = b @ x - c
-    return r.adjoint() @ r
-
-
 def certify_min(b, c, x0, trials=1000, seed=0):
     """Sample competitors and certify that x0 attains the operator minimum.
 
-    Competitors cycle through unstructured Gaussian matrices, coordinate
-    perturbations of x0, and members of the normal-equation manifold
-    (tangent directions with range inside N(B#B)). Deterministic for a
-    fixed seed.
+    X0 is a minimum iff G(V(X) - V(X0)) is positive semidefinite for every X,
+    where V(X) = (BX - C)#(BX - C). With R = BX - C this is evaluated as
+    herm(R* G R) - herm(R0* G R0): Hermitian by construction, no inverse of G.
+    Competitor t (counted from 0) is a Gaussian matrix when t % 3 == 0, x0
+    plus one Gaussian entry when t % 3 == 1, and x0 plus a tangent direction
+    with range inside N(B#B) = N(U* G U), U = B scaled to unit norm by a
+    power of two, when t % 3 == 2. Deterministic for a fixed seed.
 
-    Competitors are drawn one trial at a time but evaluated in chunks, as
-    stacked (T, n, n) arrays: chunks start at one trial and double, up to
-    2^16 matrix entries per stack. The random stream and the certificate
-    (verdict, first failing trial, its witness, min_eigen_seen) are those of
-    testing each competitor in turn and stopping at the first failure;
-    min_eigen_seen is 0.0 when no eigenvalue was seen. A competitor whose
-    value is not finite raises KreinError.
+    Competitors come in chunks of stacked (T, n, n) arrays: chunks start at
+    one trial and double, up to 2^16 matrix entries per stack. A chunk takes
+    one rng call per draw, in the order Gaussian stack, bump positions, bump
+    values, tangent coefficients, and one batched eigvalsh. A competitor
+    fails when its smallest eigenvalue is below -tol.num times the larger of
+    its largest |eigenvalue| and the floor ||G|| (||B|| ||X0|| + ||C||)^2,
+    which is of degree 2 in (B, C) like the values, so scaling B and C
+    together leaves the verdict alone.
+
+    The certificate stops at the first failing competitor: its witness, its
+    trial number, and min_eigen_seen its smallest eigenvalue. On accept,
+    min_eigen_seen is the smallest eigenvalue over all competitors; it is
+    0.0 only when trials is 0. A non-finite value or floor raises KreinError
+    naming the competitor.
     """
     if trials < 0:
         raise KreinError("trials must be nonnegative, got %d" % trials)
     sp = b.space
     n = sp.dim
-    rng = np.random.default_rng(seed)
-    v0 = _ims_value(b, c, x0)
     g = sp.gram
-    base = max(spectral_norm(g @ v0.matrix), 1.0)
-    kernel = nullspace_matrix(sp, (b.adjoint() @ b).matrix)
+    rng = np.random.default_rng(seed)
+    bm, cm, x0m = b.matrix, c.matrix, x0.matrix
+    r0 = bm @ x0m - cm
+    v0 = herm(r0.conj().T @ g @ r0)
+    # ||G V0|| <= floor, so the floor also covers the value at x0
+    with np.errstate(over="ignore"):
+        floor = sp.gram_norm * np.square(np.float64(b.norm()) * x0.norm() + c.norm())
+    unit = scaled_to_unit(bm, b.norm())
+    kernel = nullspace_matrix(sp, unit.conj().T @ g @ unit)
     cap = max(1, _CHUNK_ENTRIES // (n * n))
 
     def gaussian(shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        z = rng.standard_normal((2, *shape))
+        return (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
     min_seen = np.inf
-    witness = None
     done = 0
     size = 1
     while done < trials:
         count = min(size, cap, trials - done)
+        mode = np.arange(done, done + count) % 3
         xs = np.empty((count, n, n), dtype=complex)
-        for i in range(count):
-            mode = (done + i) % 3
-            if mode == 0:
-                xs[i] = gaussian((n, n))
-            elif mode == 1:
-                bump = np.zeros((n, n), dtype=complex)
-                bump[rng.integers(n), rng.integers(n)] = gaussian(())
-                xs[i] = x0.matrix + bump
-            else:
-                coeff = gaussian((kernel.shape[1], n)) if kernel.shape[1] else np.zeros((0, n))
-                xs[i] = x0.matrix + kernel @ coeff
-        # the products of _ims_value(b, c, x) - v0 and G @ delta, in the same
-        # order, so each stack entry carries the bits of the per-trial value
-        r = b.matrix @ xs - c.matrix
-        delta = sp._gram_inv @ r.conj().swapaxes(-1, -2) @ g @ r - v0.matrix
-        gd = g @ delta
+        xs[mode == 0] = gaussian((np.count_nonzero(mode == 0), n, n))
+        bumped = np.flatnonzero(mode == 1)
+        rows, cols = rng.integers(n, size=(2, bumped.size))
+        xs[bumped] = x0m
+        xs[bumped, rows, cols] += gaussian((bumped.size,))
+        xs[mode == 2] = x0m + kernel @ gaussian((np.count_nonzero(mode == 2), kernel.shape[1], n))
+        r = bm @ xs - cm
+        gd = herm(r.conj().swapaxes(-1, -2) @ g @ r) - v0
         # LAPACK fails on a NaN anywhere in the stack; zero those entries
         # so that a failure before them is still the one reported
-        finite = np.isfinite(gd).all(axis=(1, 2))
+        finite = np.isfinite(gd).all(axis=(1, 2)) & np.isfinite(floor)
         gd[~finite] = 0.0
-        scale = np.maximum(_stacked_norm(gd), base)
-        skewed = _stacked_norm(gd - gd.conj().swapaxes(-1, -2)) > sp.tol.sym * scale
-        lam = np.linalg.eigvalsh(herm(gd))[:, 0]
-        failed = np.flatnonzero(~finite | skewed | (lam < -sp.tol.num * scale))
+        lam = np.linalg.eigvalsh(gd)
+        scale = np.maximum(np.abs(lam).max(axis=1), floor)  # max |λ| = ||G Δ||
+        failed = np.flatnonzero(~finite | (lam[:, 0] < -sp.tol.num * scale))
         if failed.size:
             i = int(failed[0])
             if not finite[i]:
-                raise KreinError("competitor %d has a non-finite value" % (done + i + 1))
-            min_seen = lam[i] if not skewed[i] else min(min_seen, lam[:i].min(initial=np.inf))
-            witness, done = xs[i].copy(), done + i + 1
-            break
-        min_seen = min(min_seen, lam.min())
+                raise KreinError(
+                    "competitor %d has a non-finite value or scale floor" % (done + i + 1)
+                )
+            return Certificate(False, xs[i].copy(), done + i + 1, float(lam[i, 0]))
+        min_seen = min(min_seen, lam[:, 0].min())
         done += count
         size *= 2
-    # no eigenvalue seen (no trials, or a skew failure at the first one)
-    seen = float(min_seen) if np.isfinite(min_seen) else 0.0
-    return Certificate(witness is None, witness, done, seen)
-
-
-def _stacked_norm(a):
-    """Spectral norm of each matrix in a (T, n, n) stack."""
-    return np.linalg.svd(a, compute_uv=False)[:, 0]
+    return Certificate(True, None, done, float(min_seen) if done else 0.0)
 
 
 def hilbert_limit_check(b, c=None, seed=0):

@@ -108,8 +108,15 @@ def test_min_norm_solution_solves_the_normal_equation():
 
 
 def test_huge_operator_keeps_the_conditions():
-    """B scaled by 1e160: nothing overflows, because no solver forms B#B."""
+    """B scaled by 1e160: nothing overflows, because no solver forms B#B.
+
+    indefinite_inverse's rank cross-check forms B#B on purpose, from B/||B||.
+    """
     for seed, b, c in _instances(range(60)):
         huge = b.space.operator(1e160 * b.matrix)
         for solve in (k.solve_ims, k.solve_min_ims_norm):
             assert solve(huge, c).conditions == solve(b, c).conditions, (seed, solve.__name__)
+        got, want = k.indefinite_inverse(huge), k.indefinite_inverse(b)
+        assert got.conditions == want.conditions, seed
+        remark = "regularity_rank_remark"
+        assert got.certificates[remark] == want.certificates[remark], seed
