@@ -166,6 +166,9 @@ class KreinSpace:
         self.basis_minus = v[:, ~pos] / np.sqrt(np.abs(w[~pos]))
         self._gram_inv = np.linalg.inv(gram)
         self._chol_r, self._chol_rinv = metric_factors(self.metric)
+        # R J R^-1, made unitary to roundoff by one Newton-Schulz step
+        w0 = herm(self._chol_r @ self.j @ self._chol_rinv)
+        self._j_frame = herm(w0 @ (3.0 * np.eye(n) - w0 @ w0)) / 2.0
         for a in (self.gram, self.j, self.metric, self.basis_plus, self.basis_minus):
             a.setflags(write=False)
 
@@ -228,18 +231,10 @@ def hilbert_pinv(space, a, metric=None, max_rank=None):
     Conjugates with the Cholesky factor of the metric, applies the classical
     pseudoinverse at space.rank's cutoff, keeping at most max_rank values.
     """
-    a = np.asarray(a, dtype=complex)
-    if metric is None:
-        r, rinv = space._chol_r, space._chol_rinv
-    else:
-        r, rinv = metric_factors(metric)
-    m = r @ a @ rinv
-    u, sing, vh = np.linalg.svd(m)
+    r, rinv = (space._chol_r, space._chol_rinv) if metric is None else metric_factors(metric)
+    u, sing, vh = np.linalg.svd(r @ a @ rinv)
     k = _rank_from_singulars(sing[:max_rank], space.tol.rank_factor(space.dim))
-    if not k:
-        return np.zeros_like(a.conj().T)
-    inv = (vh[:k].conj().T / sing[:k]) @ u[:, :k].conj().T
-    return rinv @ inv @ r
+    return rinv @ ((vh[:k].conj().T / sing[:k]) @ u[:, :k].conj().T) @ r
 
 
 def indefinite_inner(space, x, y):
@@ -318,9 +313,25 @@ class Operator:
 
 
 @per_instance
+def metric_svd(t):
+    """(U, s, V*, rank): R T R^-1 = U diag(s) V*, R the metric's Cholesky factor.
+
+    T's range, null space, companions and pseudoinverse all read this one SVD
+    and its rank, decided at the space's cutoff.
+    """
+    sp = t.space
+    u, s, vh = np.linalg.svd(sp._chol_r @ t.matrix @ sp._chol_rinv)
+    for a in (u, s, vh):
+        a.setflags(write=False)
+    return u, s, vh, _rank_from_singulars(s, sp.tol.rank_factor(sp.dim))
+
+
+@per_instance
 def pseudo_inverse(t):
-    """The metric pseudoinverse of T: its canonical {1,2}-inverse."""
-    return Operator(t.space, hilbert_pinv(t.space, t.matrix))
+    """The metric pseudoinverse of T, its canonical {1,2}-inverse: R^-1 V_r s_r^-1 U_r* R."""
+    (u, s, vh, k), sp = metric_svd(t), t.space
+    inv = (vh[:k].conj().T / s[:k]) @ u[:, :k].conj().T
+    return Operator(sp, sp._chol_rinv @ inv @ sp._chol_r)
 
 
 def adjoint(t):
@@ -417,13 +428,18 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def _subspace_direct(space, basis):
-    """Wrap columns that are already <.,.>-orthonormal (no re-spanning)."""
+def _subspace_direct(space, basis, complement=None):
+    """Wrap columns that are already <.,.>-orthonormal (no re-spanning).
+
+    complement: orthonormal columns spanning R S^⊥, when the construction has them.
+    """
     basis = np.array(basis, dtype=complex).reshape(space.dim, -1)
     gr = herm(basis.conj().T @ space.gram @ basis)
     basis.setflags(write=False)
     gr.setflags(write=False)
-    return Subspace(space, basis, gr, _classify_gram(gr, space.neutral_cutoff()))
+    s = Subspace(space, basis, gr, _classify_gram(gr, space.neutral_cutoff()))
+    object.__setattr__(s, "_complement", complement)
+    return s
 
 
 def subspace_from_spanning(space, columns, rank=None):
@@ -482,8 +498,14 @@ def isotropic_part(s):
 
 @per_instance
 def regular_part(s):
-    """The span of the nonzero eigenvectors of the restricted Gram: S = S_reg [+] S^o."""
-    return _subspace_direct(s.space, s.basis @ _restricted_eigh(s)[1][:, ~_neutral_mask(s)])
+    """The span of the nonzero eigenvectors of the restricted Gram: S = S_reg [+] S^o.
+
+    S_reg's metric complement is S^⊥ ⊕ S^o, kept when S keeps S^⊥."""
+    u, neutral = _restricted_eigh(s)[1], _neutral_mask(s)
+    complement = getattr(s, "_complement", None)
+    if complement is not None:
+        complement = np.hstack([complement, s.space._chol_r @ (s.basis @ u[:, neutral])])
+    return _subspace_direct(s.space, s.basis @ u[:, ~neutral], complement)
 
 
 def decompose_subspace(s):
@@ -502,13 +524,21 @@ def decompose_subspace(s):
 
 @per_instance
 def orthogonal_companion(s):
-    """S^[⊥] = null(basis* G), canonicalized; dim = n - dim S."""
-    if s.dim == 0:
-        return full_subspace(s.space)
-    a = s.basis.conj().T @ s.space.gram
+    """S^[⊥] = null(basis* G); dim = n - dim S.
+
+    With a kept metric complement S^⊥, S^[⊥] = J S^⊥, made G-orthogonal to the
+    stored basis by one Gram-Schmidt pass; otherwise by SVD, canonicalized.
+    """
+    sp = s.space
+    complement = getattr(s, "_complement", None)
+    if complement is not None:
+        c = sp._chol_rinv @ (sp._j_frame @ complement)
+        c -= (sp.j @ s.basis) @ (s.basis.conj().T @ (sp.gram @ c))
+        return _subspace_direct(sp, c)
+    a = s.basis.conj().T @ sp.gram
     _, sv, vh = np.linalg.svd(a)
-    r = _rank_from_singulars(sv, s.space.tol.rank_factor(s.space.dim))
-    return subspace_from_spanning(s.space, vh[r:].conj().T)
+    r = _rank_from_singulars(sv, sp.tol.rank_factor(sp.dim))
+    return subspace_from_spanning(sp, vh[r:].conj().T)
 
 
 def range_of(t, rank=None):
@@ -524,7 +554,8 @@ def range_of(t, rank=None):
 
 @per_instance
 def _range(t):
-    return subspace_from_spanning(t.space, t.matrix)
+    u, _, _, r = metric_svd(t)
+    return _subspace_direct(t.space, t.space._chol_rinv @ u[:, :r], u[:, r:])
 
 
 def nullspace_matrix(space, a):
@@ -539,8 +570,9 @@ def nullspace_matrix(space, a):
 
 @per_instance
 def nullspace_of(t):
-    """Null space of an operator as a canonical subspace."""
-    return subspace_from_spanning(t.space, nullspace_matrix(t.space, t.matrix))
+    """Null space of an operator as a canonical subspace; dim = n - dim R(T)."""
+    _, _, vh, r = metric_svd(t)
+    return _subspace_direct(t.space, t.space._chol_rinv @ vh[r:].conj().T, vh[:r].conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -569,7 +601,8 @@ def normal_equation(t):
     pinv = rinv @ (vh[: s.size].conj().T / s) @ u.conj().T
     for a in (coupling, pinv):
         a.setflags(write=False)
-    return NormalEquation(coupling, pinv, _subspace_direct(sp, rinv @ vh[s.size :].conj().T))
+    nullspace = _subspace_direct(sp, rinv @ vh[s.size :].conj().T, vh[: s.size].conj().T)
+    return NormalEquation(coupling, pinv, nullspace)
 
 
 def normal_nullspace(t):

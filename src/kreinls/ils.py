@@ -29,7 +29,7 @@ from .core import (
     sum_with_companion_contains,
 )
 from .oracle import certify_min
-from .projections import normal_onto_range, selfadjoint_onto_range
+from .projections import normal_projection, selfadjoint_projection
 
 REASON_NOT_REGULAR = "RangeNotRegular"
 REASON_NOT_NONNEGATIVE = "RangeNotNonnegative"
@@ -120,7 +120,7 @@ def _value_certificates(b, c, x0, value, inclusion):
     if not regular:
         # R(B) + R(B)^[⊥] is the isotropic part's companion: the feasibility condition
         certs["isotropic_companion_contains_rhs"] = inclusion
-    q = (selfadjoint_onto_range if regular else normal_onto_range)(b).op
+    q = (selfadjoint_projection if regular else normal_projection)(range_sub).op
     closed = c.adjoint() @ (c.space.eye() - q) @ c
     certs["value_formula_residual"] = (value - closed).norm() / max(1.0, value.norm())
     if not regular:
@@ -187,7 +187,7 @@ def indefinite_inverse(b, seed=0):
     if not regular:
         return SolveReport(False, REASON_NOT_REGULAR, conditions, None, None, 0.0, certs, seed)
 
-    q = selfadjoint_onto_range(b).op
+    q = selfadjoint_projection(range_sub).op
     x0 = Operator(sp, pseudo_inverse(b).matrix @ q.matrix)
     eye = sp.eye()
     bx = b @ x0
@@ -217,7 +217,7 @@ def indefinite_inverse_in_range(b, c, seed=0):
     value = _attained_value(b, c, x0)
     certs = {"value_spectrum": _value_spectrum(value)}
     if range_sub.classification.regular:
-        q = selfadjoint_onto_range(b).op
+        q = selfadjoint_projection(range_sub).op
         closed = c.adjoint() @ (c.space.eye() - q) @ c
         certs["value_formula_residual"] = (value - closed).norm() / max(1.0, value.norm())
         certs["projected_equation_residual"] = (b @ x0 - q @ c).norm()

@@ -33,7 +33,9 @@ class Certificate:
 
 
 def is_krein_positive(t):
-    """[Tx, x] >= 0 for all x: G T Hermitian with nonnegative spectrum."""
+    """[Tx, x] >= 0 for all x: G T Hermitian with nonnegative spectrum.
+
+    The skew test's scale is ||G|| ||T||, that of the roundoff in forming G T."""
     sp = t.space
     gt = sp.gram @ t.matrix
     scale = spectral_norm(gt)
@@ -42,7 +44,7 @@ def is_krein_positive(t):
     skew = (gt - gt.conj().T) / 2.0
     w, v = np.linalg.eigh(herm(gt))
     lam_min = float(w[0])
-    if spectral_norm(skew) > sp.tol.sym * scale:
+    if spectral_norm(skew) > sp.tol.sym * sp.gram_norm * t.norm():
         # the form [Tx, x] is not even real-valued; witness the worst direction
         ws, vs = np.linalg.eigh(skew / 1j)
         pick = int(np.argmax(np.abs(ws)))

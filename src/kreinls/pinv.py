@@ -37,11 +37,8 @@ from .ils import SolutionManifold, SolveReport, _join_reasons, normal_equation_s
 from .projections import (
     Projection,
     ProjectionKind,
-    normal_onto_nullspace,
-    normal_onto_normal_nullspace,
-    normal_onto_range,
+    normal_projection,
     projection_from_matrix,
-    selfadjoint_onto_range,
     selfadjoint_projection,
 )
 
@@ -131,7 +128,7 @@ def canonical_pair(b):
     Always defined in finite dimension; reduces to the Moore-Penrose
     inverse when R(B) and N(B) are regular.
     """
-    return _pair_inverse(b, normal_onto_range(b), normal_onto_nullspace(b))
+    return _pair_inverse(b, normal_projection(range_of(b)), normal_projection(nullspace_of(b)))
 
 
 def krein_moore_penrose(b, seed=0):
@@ -147,13 +144,11 @@ def krein_moore_penrose(b, seed=0):
     null_sub = nullspace_of(b)
     null_reg = classify(null_sub).regular
     conditions = {"range_regular": range_reg, "nullspace_regular": null_reg}
-    reason = _join_reasons(
-        [(range_reg, "RangeNotRegular"), (null_reg, "NullspaceNotRegular")]
-    )
+    reason = _join_reasons([(range_reg, "RangeNotRegular"), (null_reg, "NullspaceNotRegular")])
     if reason is not None:
         return SolveReport(False, reason, conditions, None, None, 0.0, {}, seed)
 
-    q = selfadjoint_onto_range(b).op
+    q = selfadjoint_projection(range_of(b)).op
     p_prime = selfadjoint_projection(orthogonal_companion(null_sub)).op
     bt = one_two_inverse(b)
     bdag = p_prime @ bt @ q
@@ -205,7 +200,8 @@ def _reduced_inverse(b, q_op, p_op):
 @per_instance
 def _min_norm_inverse(b):
     """The reduced inverse D of solve_min_ims_norm, from the canonical normal projections."""
-    return _reduced_inverse(b, normal_onto_range(b).op, normal_onto_normal_nullspace(b).op)
+    q, p_prime = normal_projection(range_of(b)), normal_projection(normal_nullspace(b))
+    return _reduced_inverse(b, q.op, p_prime.op)
 
 
 @per_instance
@@ -253,7 +249,7 @@ def solve_min_ims_norm(b, c, seed=0):
     if reason is not None:
         return SolveReport(False, reason, conditions, None, None, 0.0, {}, seed)
 
-    p_prime = normal_onto_normal_nullspace(b).op
+    p_prime = normal_projection(null_bb).op
     x1 = (sp.eye() - p_prime) @ normal_equation_solution(b, c)
     value = x1.adjoint() @ x1
 

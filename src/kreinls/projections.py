@@ -16,12 +16,9 @@ import numpy as np
 
 from .core import (
     Operator,
-    _subspace_direct,
     decompose_subspace,
     herm,
     isotropic_part,
-    normal_nullspace,
-    nullspace_of,
     ordered_eigh,
     orthogonal_companion,
     per_instance,
@@ -60,12 +57,14 @@ def selfadjoint_projection(s):
     """
     if not s.classification.regular:
         raise NotRegular("selfadjoint projection needs a regular subspace")
+    return Projection(_selfadjoint_operator(s), s, ProjectionKind.SELFADJOINT)
+
+
+@per_instance
+def _selfadjoint_operator(s):
+    """Kept on s; the Projection wrapper refers back to s, so it is built per call."""
     sp = s.space
-    if s.dim == 0:
-        q = np.zeros((sp.dim, sp.dim), dtype=complex)
-    else:
-        q = s.basis @ np.linalg.solve(s.gram_restricted, s.basis.conj().T @ sp.gram)
-    return Projection(Operator(sp, q), s, ProjectionKind.SELFADJOINT)
+    return Operator(sp, s.basis @ np.linalg.solve(s.gram_restricted, s.basis.conj().T @ sp.gram))
 
 
 def oblique_projection(m, n):
@@ -97,18 +96,17 @@ def ando_split(q):
 
 def normal_projection(s):
     """One normal projection (QQ# = Q#Q) onto an arbitrary subspace."""
+    return Projection(_normal_operator(s), s, ProjectionKind.NORMAL)
+
+
+@per_instance
+def _normal_operator(s):
     sp = s.space
     s_iso = isotropic_part(s)
     s_reg = regular_part(s)
-
     if s_reg.dim == s.dim:
-        q1 = selfadjoint_projection(s_reg)
-        return Projection(q1.op, s, ProjectionKind.NORMAL)
-
-    if s_reg.dim:
-        q1 = selfadjoint_projection(s_reg).matrix
-    else:
-        q1 = np.zeros((sp.dim, sp.dim), dtype=complex)
+        return _selfadjoint_operator(s_reg)
+    q1 = _selfadjoint_operator(s_reg).matrix
 
     # regular complement of the regular part; everything else happens inside it
     comp = orthogonal_companion(s_reg)
@@ -117,43 +115,14 @@ def normal_projection(s):
     wk, vk = ordered_eigh(gk)
     jk = (vk * np.sign(wk)) @ vk.conj().T
 
-    coeff_iso = bk.conj().T @ sp.metric @ s_iso.basis
-    partner = _subspace_direct(sp, bk @ (jk @ coeff_iso))
+    partner = bk @ (jk @ (bk.conj().T @ sp.metric @ s_iso.basis))
 
-    stacked = np.hstack([s_iso.basis, partner.basis])
+    stacked = np.hstack([s_iso.basis, partner])
     block = subspace_from_spanning(sp, stacked)
     p_block = selfadjoint_projection(block).matrix
     onto_iso = s_iso.basis @ np.linalg.pinv(stacked)[: s_iso.dim]
 
-    eye = np.eye(sp.dim)
-    q = q1 + onto_iso @ p_block @ (eye - q1)
-    return Projection(Operator(sp, q), s, ProjectionKind.NORMAL)
-
-
-# The projections the solvers build from one operator's subspaces, kept on it.
-
-@per_instance
-def selfadjoint_onto_range(b):
-    """selfadjoint_projection(range_of(b)); R(B) must be regular."""
-    return selfadjoint_projection(range_of(b))
-
-
-@per_instance
-def normal_onto_range(b):
-    """normal_projection(range_of(b))."""
-    return normal_projection(range_of(b))
-
-
-@per_instance
-def normal_onto_nullspace(b):
-    """normal_projection(nullspace_of(b))."""
-    return normal_projection(nullspace_of(b))
-
-
-@per_instance
-def normal_onto_normal_nullspace(b):
-    """normal_projection(normal_nullspace(b)), onto N(B#B)."""
-    return normal_projection(normal_nullspace(b))
+    return Operator(sp, q1 + onto_iso @ p_block @ (np.eye(sp.dim) - q1))
 
 
 def companion_identity_check(q, y):

@@ -8,6 +8,7 @@ public validators it no longer runs on them, and nothing kept refers back to
 its owner.
 """
 
+import collections
 import gc
 
 import numpy as np
@@ -24,7 +25,7 @@ from conftest import (
     subspace_choices,
 )
 from kreinls.pinv import _min_norm_inverse
-from kreinls.projections import normal_onto_normal_nullspace, normal_onto_range
+from kreinls.core import normal_nullspace
 from test_properties import degenerate_instance
 
 
@@ -131,6 +132,40 @@ def test_kept_analysis_changes_no_answer(index):
             _same(CALLS[name](shared_b, shared_c), fresh[name])
 
 
+FACTORIZATIONS = ("svd", "eigh", "eigvalsh", "cholesky", "inv", "solve", "pinv", "qr")
+
+
+def _count_factorizations(monkeypatch):
+    """Count calls into numpy.linalg's factorizations, as perfbench/tracing.py does."""
+    counts = collections.Counter()
+    for name in FACTORIZATIONS:
+
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("index", range(len(INSTANCES)))
+def test_one_svd_analyses_an_operator(index, monkeypatch):
+    """Range, null space, pseudoinverse and both companions read one SVD; a kept
+    projection costs nothing the second time."""
+    b, _ = _fresh(*INSTANCES[index])
+    counts = _count_factorizations(monkeypatch)
+    k.range_of(b)
+    k.nullspace_of(b)
+    k.core.pseudo_inverse(b)
+    k.orthogonal_companion(k.range_of(b))
+    k.orthogonal_companion(k.nullspace_of(b))
+    assert counts["svd"] == 1, counts
+    k.normal_projection(k.range_of(b))
+    counts.clear()
+    k.normal_projection(k.range_of(b))
+    assert not counts, counts
+
+
 def test_stated_rank_neither_returns_nor_replaces_the_kept_range(m4):
     b = m4.operator(np.diag([1.0, 1.0, 1.0, 0.0]))
     stated = k.range_of(b, rank=2)
@@ -150,7 +185,7 @@ def test_public_validators_accept_the_built_projections(index):
     assert again.kind is gi.kind
 
     rep = k.solve_min_ims_norm(b, c)
-    q, p_prime = normal_onto_range(b), normal_onto_normal_nullspace(b)
+    q, p_prime = k.normal_projection(k.range_of(b)), k.normal_projection(normal_nullspace(b))
     d = k.reduced_generalized_inverse(b, q.matrix, p_prime.matrix)
     assert np.array_equal(d.matrix, _min_norm_inverse(b).matrix)
     if rep.feasible:  # the validated D reproduces X1 = (I - P')X0
@@ -174,7 +209,9 @@ def _every_public_call(b, c):
     gi = k.canonical_pair(b)
     k.generalized_inverse(b, gi.q, gi.p)
     k.rebuild_generalized_inverse(b, gi.d)
-    k.reduced_generalized_inverse(b, normal_onto_range(b), normal_onto_normal_nullspace(b))
+    k.reduced_generalized_inverse(
+        b, k.normal_projection(k.range_of(b)), k.normal_projection(normal_nullspace(b))
+    )
     k.split_operator(b)
     ims = k.solve_ims(b, c)
     if ims.feasible:

@@ -220,6 +220,25 @@ def test_certify_min_accepts_minimizers_of_ill_conditioned_grams():
         assert not k.certify_min(b, c, x0, trials=300).verdict, seed
 
 
+def test_is_krein_positive_on_ill_conditioned_grams():
+    """Gram condition 1e6: V(X0) = R#R passes, the Gaussian B fails the skew test.
+
+    Forming G T costs roundoff of order ||G|| ||T||, far above ||G T|| when G
+    is ill-conditioned; the skew test measured against ||G T|| rejected 116 of
+    these 180 values.
+    """
+    for n in (2, 3, 4):
+        for seed in range(60):
+            b, c, x0 = _oracle_instance(seed, n, n, 3.0, None, True)
+            r = b @ x0 - c
+            cert = k.is_krein_positive(r.adjoint() @ r)
+            assert cert.verdict, (n, seed, cert.min_eigen_seen)
+            cert = k.is_krein_positive(b)
+            assert not cert.verdict, (n, seed)
+            form = k.indefinite_inner(b.space, b.matrix @ cert.witness, cert.witness)
+            assert abs(form.imag) > b.space.tol.sym * b.space.gram_norm * b.norm(), (n, seed)
+
+
 def test_cli_oracle_eigenvalue_reject_at_first_trial(tmp_path):
     """A reject at the first competitor reports that competitor's eigenvalue."""
     b, c, x0 = _oracle_instance(4, 2, 2, 3.0, None, True, 1.0)

@@ -10,11 +10,16 @@ from conftest import (
     SIGNATURES,
     degenerate_choices,
     feasible_rhs,
+    gaussian,
     infeasible_rhs,
     make_signature_space,
     operator_with_range,
+    operator_with_range_and_kernel,
     random_subspace,
+    random_unitary_columns,
+    subspace_choices,
 )
+from test_pinv import _degenerate_normal_nullspace_draws
 
 SPACES = [make_signature_space(p, q, seed=29 + 3 * p + q) for p, q in SIGNATURES]
 
@@ -120,3 +125,52 @@ def test_huge_operator_keeps_the_conditions():
         assert got.conditions == want.conditions, seed
         remark = "regularity_rank_remark"
         assert got.certificates[remark] == want.certificates[remark], seed
+
+
+def _seeded_operators():
+    """Every range inertia, full and zero rank, prescribed kernels, and the two
+    draws of test_pinv whose R(B) the default cutoff found one too large."""
+    rng = np.random.default_rng(97)
+    for sp in SPACES:
+        for choice in subspace_choices(sp):
+            r_sub = random_subspace(sp, rng, *choice)
+            yield operator_with_range(sp, r_sub, rng)
+            if sp.dim - r_sub.dim <= sp.signature[0]:
+                n_sub = random_subspace(sp, rng, n_pos=sp.dim - r_sub.dim)
+                yield operator_with_range_and_kernel(sp, r_sub, n_sub, rng)
+        yield sp.operator(gaussian(rng, (sp.dim, sp.dim)))
+        yield sp.zero()
+    draws = list(_degenerate_normal_nullspace_draws(81))
+    for index in (0, 80):
+        b = draws[index][0]
+        yield k.make_space(b.space.gram).operator(b.matrix)
+
+
+def _assert_rank_nullity(b):
+    assert k.range_of(b).dim + k.nullspace_of(b).dim == b.space.dim
+
+
+def test_rank_nullity_on_seeded_operators():
+    """range_of and nullspace_of decide one rank."""
+    for b in _seeded_operators():
+        _assert_rank_nullity(b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**20), exp=st.floats(-100.0, 100.0))
+def test_rank_nullity_on_degenerate_ranges(seed, exp):
+    b, _, _ = degenerate_instance(seed)
+    _assert_rank_nullity(b.space.operator(10.0**exp * b.matrix))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**20), n=st.integers(1, 6), exp=st.floats(-50.0, 50.0))
+def test_pseudo_inverse_is_the_classical_one_when_g_is_identity(seed, n, exp):
+    """With G = I the metric pseudoinverse is numpy's, on a rank with a clear gap."""
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(n + 1))
+    u, v = random_unitary_columns(rng, n, rank), random_unitary_columns(rng, n, rank)
+    m = 10.0**exp * (u * rng.uniform(1.0, 2.0, rank)) @ v.conj().T
+    got = k.core.pseudo_inverse(k.make_space(np.eye(n)).operator(m)).matrix
+    want = np.linalg.pinv(m)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
