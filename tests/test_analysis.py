@@ -24,8 +24,8 @@ from conftest import (
     random_subspace,
     subspace_choices,
 )
-from kreinls.pinv import _min_norm_inverse
 from kreinls.core import normal_nullspace
+from kreinls.pinv import _min_norm_inverse
 from test_properties import degenerate_instance
 
 
