@@ -5,8 +5,9 @@ form is [x, y] = y* G x. Eigendecomposing G = V diag(w) V* yields the fixed
 fundamental decomposition used everywhere: the signature operator
 J = V sign(w) V*, and the positive-definite matrix M = G J of the associated
 Hilbert inner product <x, y> = [Jx, y] = y* M x. Subspaces are stored with
-<.,.>-orthonormal bases, which makes restricted Grams, principal angles and
-the classification machinery directly assertable.
+<.,.>-orthonormal bases, which makes restricted Grams and principal angles
+directly assertable; one kept eigh of a subspace's restricted Gram decides
+its inertia and its parts.
 """
 
 import functools
@@ -386,14 +387,14 @@ class SubspaceClass:
         return self.regular and self.nonpositive
 
 
-def _classify_gram(gr, thr):
-    k = gr.shape[0]
+def _classify_gram(w, thr):
+    """Inertia of a restricted Gram from its eigenvalues, with the masks the parts use."""
+    k = w.size
     if k == 0:
         return SubspaceClass(SubspaceKind.ZERO, True, True, 0, 0, 0)
-    w = np.linalg.eigvalsh(gr)
     n_pos = int(np.count_nonzero(w > thr))
-    n_neg = int(np.count_nonzero(w < -thr))
-    n_zero = k - n_pos - n_neg
+    n_zero = int(np.count_nonzero(np.abs(w) <= thr))
+    n_neg = k - n_pos - n_zero
     if n_zero == k:
         kind = SubspaceKind.NEUTRAL
     elif n_pos == k:
@@ -413,19 +414,24 @@ def _classify_gram(gr, thr):
 class Subspace:
     """Column span with a canonical Hilbert-orthonormal basis.
 
-    gram_restricted is basis* G basis exactly as stored; classification is
-    derived from its eigenvalues at the space's neutral cutoff.  Subspaces
-    compare by identity.
+    gram_restricted is basis* G basis exactly as stored.  One eigh of it,
+    kept on first use, decides every sign question at the space's neutral
+    cutoff: the classification and the isotropic, regular, positive and
+    nonpositive parts.  Subspaces compare by identity.
     """
 
     space: KreinSpace
     basis: np.ndarray
     gram_restricted: np.ndarray
-    classification: SubspaceClass
 
     @property
     def dim(self):
         return self.basis.shape[1]
+
+    @functools.cached_property
+    def classification(self):
+        w, _ = _restricted_eigh(self)
+        return _classify_gram(w, self.space.neutral_cutoff())
 
 
 def _subspace_direct(space, basis, complement=None):
@@ -437,7 +443,7 @@ def _subspace_direct(space, basis, complement=None):
     gr = herm(basis.conj().T @ space.gram @ basis)
     basis.setflags(write=False)
     gr.setflags(write=False)
-    s = Subspace(space, basis, gr, _classify_gram(gr, space.neutral_cutoff()))
+    s = Subspace(space, basis, gr)
     object.__setattr__(s, "_complement", complement)
     return s
 
@@ -473,7 +479,7 @@ def full_subspace(space):
 
 
 def classify(s):
-    """Sign classification of a subspace (cached at construction)."""
+    """Sign classification of a subspace, read off its kept restricted eigh."""
     return s.classification
 
 
@@ -535,10 +541,7 @@ def orthogonal_companion(s):
         c = sp._chol_rinv @ (sp._j_frame @ complement)
         c -= (sp.j @ s.basis) @ (s.basis.conj().T @ (sp.gram @ c))
         return _subspace_direct(sp, c)
-    a = s.basis.conj().T @ sp.gram
-    _, sv, vh = np.linalg.svd(a)
-    r = _rank_from_singulars(sv, sp.tol.rank_factor(sp.dim))
-    return subspace_from_spanning(sp, vh[r:].conj().T)
+    return subspace_from_spanning(sp, nullspace_matrix(sp, s.basis.conj().T @ sp.gram))
 
 
 def range_of(t, rank=None):

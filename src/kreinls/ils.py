@@ -120,7 +120,7 @@ def _value_certificates(b, c, x0, value, inclusion):
     if not regular:
         # R(B) + R(B)^[⊥] is the isotropic part's companion: the feasibility condition
         certs["isotropic_companion_contains_rhs"] = inclusion
-    q = (selfadjoint_projection if regular else normal_projection)(range_sub).op
+    q = normal_projection(range_sub).op
     closed = c.adjoint() @ (c.space.eye() - q) @ c
     certs["value_formula_residual"] = (value - closed).norm() / max(1.0, value.norm())
     if not regular:

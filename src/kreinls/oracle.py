@@ -35,16 +35,16 @@ class Certificate:
 def is_krein_positive(t):
     """[Tx, x] >= 0 for all x: G T Hermitian with nonnegative spectrum.
 
-    The skew test's scale is ||G|| ||T||, that of the roundoff in forming G T."""
+    Both tests scale with ||G|| ||T||, that of the roundoff in forming G T."""
     sp = t.space
-    gt = sp.gram @ t.matrix
-    scale = spectral_norm(gt)
+    scale = sp.gram_norm * t.norm()
     if scale == 0.0:
         return Certificate(True, None, 0, 0.0)
+    gt = sp.gram @ t.matrix
     skew = (gt - gt.conj().T) / 2.0
     w, v = np.linalg.eigh(herm(gt))
     lam_min = float(w[0])
-    if spectral_norm(skew) > sp.tol.sym * sp.gram_norm * t.norm():
+    if spectral_norm(skew) > sp.tol.sym * scale:
         # the form [Tx, x] is not even real-valued; witness the worst direction
         ws, vs = np.linalg.eigh(skew / 1j)
         pick = int(np.argmax(np.abs(ws)))

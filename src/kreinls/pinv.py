@@ -39,7 +39,6 @@ from .projections import (
     ProjectionKind,
     normal_projection,
     projection_from_matrix,
-    selfadjoint_projection,
 )
 
 
@@ -132,7 +131,7 @@ def canonical_pair(b):
 
 
 def krein_moore_penrose(b, seed=0):
-    """B† = P' Btilde Q with selfadjoint Q onto R(B), P' onto N(B)^[⊥].
+    """B† = P' Btilde Q with selfadjoint Q onto R(B), P' = I - P onto N(B)^[⊥].
 
     Exists iff both R(B) and N(B) are regular. The report's certificates
     carry the four defining residuals, the projection matches, and a
@@ -141,17 +140,15 @@ def krein_moore_penrose(b, seed=0):
     """
     sp = b.space
     range_reg = classify(range_of(b)).regular
-    null_sub = nullspace_of(b)
-    null_reg = classify(null_sub).regular
+    null_reg = classify(nullspace_of(b)).regular
     conditions = {"range_regular": range_reg, "nullspace_regular": null_reg}
     reason = _join_reasons([(range_reg, "RangeNotRegular"), (null_reg, "NullspaceNotRegular")])
     if reason is not None:
         return SolveReport(False, reason, conditions, None, None, 0.0, {}, seed)
 
-    q = selfadjoint_projection(range_of(b)).op
-    p_prime = selfadjoint_projection(orthogonal_companion(null_sub)).op
-    bt = one_two_inverse(b)
-    bdag = p_prime @ bt @ q
+    # regular R(B) and N(B): the canonical normal projections are selfadjoint
+    pair = canonical_pair(b)
+    q, p_prime, bdag = pair.q.op, sp.eye() - pair.p.op, pair.d
 
     bd = b @ bdag
     db = bdag @ b

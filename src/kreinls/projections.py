@@ -1,12 +1,14 @@
 """Projections in an indefinite metric: selfadjoint, oblique, split, normal.
 
 The normal-projection construction for a degenerate subspace S works inside
-the regular complement of the regular part of S: the isotropic part S^o is
+the regular complement K of the regular part of S: the isotropic part S^o is
 paired there with a neutral partner N = J_K S^o (J_K the local signature
-operator), S^o [+] N is regular, and projecting onto S^o along N inside that
-regular block extends the selfadjoint projection of the regular part to a
-normal projection onto all of S. When S is regular the recipe collapses to
-the selfadjoint projection.
+operator, read off K's kept restricted eigh), so S^o [+] N is regular and
+N^[⊥] = N [+] (S^o [+] N)^[⊥] is a complement of S^o. The projection onto
+S^o along N^[⊥], S^o (N* G S^o)^-1 N* G, one dim S^o square solve, extends
+the selfadjoint projection of the regular part to a normal projection onto
+all of S. When S is regular the recipe collapses to the selfadjoint
+projection onto S itself.
 """
 
 from dataclasses import dataclass
@@ -16,15 +18,13 @@ import numpy as np
 
 from .core import (
     Operator,
+    _restricted_eigh,
     decompose_subspace,
-    herm,
     isotropic_part,
-    ordered_eigh,
     orthogonal_companion,
     per_instance,
     range_of,
     regular_part,
-    subspace_from_spanning,
 )
 from .errors import BadProjection, NotComplementary, NotRegular, NotSelfadjoint
 
@@ -101,28 +101,23 @@ def normal_projection(s):
 
 @per_instance
 def _normal_operator(s):
+    if s.classification.regular:
+        return _selfadjoint_operator(s)
     sp = s.space
-    s_iso = isotropic_part(s)
     s_reg = regular_part(s)
-    if s_reg.dim == s.dim:
-        return _selfadjoint_operator(s_reg)
     q1 = _selfadjoint_operator(s_reg).matrix
+    iso = isotropic_part(s).basis
 
-    # regular complement of the regular part; everything else happens inside it
+    # regular complement K of the regular part, with its local signature operator
     comp = orthogonal_companion(s_reg)
-    bk = comp.basis
-    gk = herm(bk.conj().T @ sp.gram @ bk)
-    wk, vk = ordered_eigh(gk)
+    wk, vk = _restricted_eigh(comp)
     jk = (vk * np.sign(wk)) @ vk.conj().T
+    partner = comp.basis @ (jk @ (comp.basis.conj().T @ sp.metric @ iso))
 
-    partner = bk @ (jk @ (bk.conj().T @ sp.metric @ s_iso.basis))
-
-    stacked = np.hstack([s_iso.basis, partner])
-    block = subspace_from_spanning(sp, stacked)
-    p_block = selfadjoint_projection(block).matrix
-    onto_iso = s_iso.basis @ np.linalg.pinv(stacked)[: s_iso.dim]
-
-    return Operator(sp, q1 + onto_iso @ p_block @ (np.eye(sp.dim) - q1))
+    # onto S^o along N^[⊥]: S^o (N* G S^o)^-1 N* G
+    paired = partner.conj().T @ sp.gram
+    onto_iso = iso @ np.linalg.solve(paired @ iso, paired)
+    return Operator(sp, q1 + onto_iso @ (np.eye(sp.dim) - q1))
 
 
 def companion_identity_check(q, y):

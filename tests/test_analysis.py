@@ -166,6 +166,26 @@ def test_one_svd_analyses_an_operator(index, monkeypatch):
     assert not counts, counts
 
 
+@pytest.mark.parametrize("index", range(len(INSTANCES)))
+def test_one_eigh_analyses_a_subspace(index, monkeypatch):
+    """A range's inertia and parts read one eigh; its normal projection and the
+    Moore-Penrose inverse add no SVD, pinv or companion of N(B)."""
+    b, _ = _fresh(*INSTANCES[index])
+    r = k.range_of(b)
+    counts = _count_factorizations(monkeypatch)
+    r.classification
+    k.isotropic_part(r)
+    k.core.regular_part(r)
+    k.decompose_subspace(r)
+    assert counts["eigh"] == 1 and counts["eigvalsh"] == 0, counts
+    counts.clear()
+    k.normal_projection(r)
+    assert counts["svd"] == 0 and counts["pinv"] == 0, counts
+    k.krein_moore_penrose(b)
+    memo = k.nullspace_of(b).__dict__.get("_memo", {})
+    assert k.orthogonal_companion.__wrapped__ not in memo
+
+
 def test_stated_rank_neither_returns_nor_replaces_the_kept_range(m4):
     b = m4.operator(np.diag([1.0, 1.0, 1.0, 0.0]))
     stated = k.range_of(b, rank=2)

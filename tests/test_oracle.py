@@ -222,10 +222,11 @@ def test_certify_min_accepts_minimizers_of_ill_conditioned_grams():
 
 def test_is_krein_positive_on_ill_conditioned_grams():
     """Gram condition 1e6: V(X0) = R#R passes, the Gaussian B fails the skew test.
+    Gram condition 1e8: every V that passes the skew test passes, and -V fails.
 
     Forming G T costs roundoff of order ||G|| ||T||, far above ||G T|| when G
     is ill-conditioned; the skew test measured against ||G T|| rejected 116 of
-    these 180 values.
+    the 180 values at 1e6, the eigenvalue test 40 of the 180 at 1e8.
     """
     for n in (2, 3, 4):
         for seed in range(60):
@@ -237,6 +238,20 @@ def test_is_krein_positive_on_ill_conditioned_grams():
             assert not cert.verdict, (n, seed)
             form = k.indefinite_inner(b.space, b.matrix @ cert.witness, cert.witness)
             assert abs(form.imag) > b.space.tol.sym * b.space.gram_norm * b.norm(), (n, seed)
+    hermitian = 0
+    for n in (2, 3, 4):
+        for seed in range(60):
+            b, c, x0 = _oracle_instance(seed, n, n, 4.0, None, True)
+            r = b @ x0 - c
+            v = r.adjoint() @ r
+            sp = v.space
+            gv = sp.gram @ v.matrix
+            if np.linalg.norm(gv - gv.conj().T, 2) / 2.0 <= sp.tol.sym * sp.gram_norm * v.norm():
+                hermitian += 1
+                cert = k.is_krein_positive(v)
+                assert cert.verdict, (n, seed, cert.min_eigen_seen)
+            assert not k.is_krein_positive(-v).verdict, (n, seed)
+    assert hermitian >= 150
 
 
 def test_cli_oracle_eigenvalue_reject_at_first_trial(tmp_path):

@@ -174,3 +174,34 @@ def test_pseudo_inverse_is_the_classical_one_when_g_is_identity(seed, n, exp):
     got = k.core.pseudo_inverse(k.make_space(np.eye(n)).operator(m)).matrix
     want = np.linalg.pinv(m)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _near_cutoff_subspace(rng, sp):
+    """x = cos t b+0 + sin t b-0 with [x, x] = cos 2t within 4e-16 of the neutral
+    cutoff, with b+1 and/or b-1 added and mixed by a random complex matrix.
+
+    The frame columns are metric-orthonormal and G-orthogonal, so the restricted
+    Gram has the eigenvalue cos 2t next to ±1: its sign decision is roundoff.
+    """
+    plus, minus = sp.basis_plus, sp.basis_minus
+    cos2t = sp.neutral_cutoff() * rng.choice([-1.0, 1.0]) + rng.uniform(-4e-16, 4e-16)
+    t = np.arccos(cos2t) / 2.0
+    cols = [np.cos(t) * plus[:, 0] + np.sin(t) * minus[:, 0]]
+    extras = [f[:, 1] for f in (plus, minus) if f.shape[1] > 1]
+    cols += [e for e in extras if rng.integers(2)] or extras[:1]
+    a = np.column_stack(cols)
+    return k.subspace_from_spanning(sp, a @ gaussian(rng, (a.shape[1], a.shape[1])))
+
+
+def test_inertia_agrees_with_the_parts_near_the_neutral_cutoff():
+    """classification, isotropic_part, regular_part and decompose_subspace decide one sign."""
+    rng = np.random.default_rng(61)
+    spaces = [sp for sp in SPACES if max(sp.signature) > 1]
+    for trial in range(2000):
+        s = _near_cutoff_subspace(rng, spaces[trial % len(spaces)])
+        cls = s.classification
+        s_plus, s_minus = k.decompose_subspace(s)
+        n_zero = k.isotropic_part(s).dim
+        inertia = (s_plus.dim, s_minus.dim - n_zero, n_zero)
+        assert (cls.n_positive, cls.n_negative, cls.n_zero) == inertia, trial
+        assert cls.n_positive + cls.n_negative == k.core.regular_part(s).dim, trial
