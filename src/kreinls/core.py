@@ -11,7 +11,7 @@ its inertia and its parts.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 
 import numpy as np
@@ -65,6 +65,31 @@ def spectral_norm(a):
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def _spectral_bracket(a):
+    """(lo, hi) around ||a||_2, from ||a||_F / sqrt(min(shape)) <= ||a||_2 <= ||a||_F.
+    The sum runs on a scaled by a power of two (exact), and the bracket is widened by
+    4 ulps per entry, more than its roundoff or an SVD's: it never contradicts the SVD."""
+    if not a.any():
+        return 0.0, 0.0
+    e = np.frexp(np.abs(a).max())[1]
+    fro = float(np.ldexp(np.linalg.norm(a * np.ldexp(1.0, -e)), e))
+    slack = 4 * a.size * _EPS
+    return fro * (1.0 - slack) / np.sqrt(min(a.shape)), fro * (1.0 + slack)
+
+
+def norm_at_most(a, bound, *scales):
+    """||a||_2 <= bound(||S_1||_2, ...) for operators S_i, bound nondecreasing in
+    each; a spectral norm is computed only when the brackets straddle the cutoff."""
+    lo, hi = _spectral_bracket(a)
+    ends = [_spectral_bracket(s.matrix) for s in scales]
+    if hi <= bound(*(e[0] for e in ends)):
+        return True
+    if lo > bound(*(e[1] for e in ends)):
+        return False
+    cutoff = bound(*(s.norm() for s in scales))
+    return hi <= cutoff or (lo <= cutoff and spectral_norm(a) <= cutoff)
 
 
 def scaled_to_unit(a, norm):
@@ -265,14 +290,13 @@ class Operator:
 
     space: KreinSpace
     matrix: np.ndarray
+    _copy: InitVar[bool] = True  # False for an array the library has just made
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+    def __post_init__(self, _copy):
+        m = (np.array if _copy else np.asarray)(self.matrix, dtype=complex)
         n = self.space.dim
         if m.shape != (n, n):
-            raise DimensionMismatch(
-                "operator shape %s does not match space dim %d" % (m.shape, n)
-            )
+            raise DimensionMismatch("operator shape %s does not match space dim %d" % (m.shape, n))
         if not np.isfinite(m).all():
             raise KreinError("operator has non-finite entries")
         m.setflags(write=False)
@@ -284,21 +308,21 @@ class Operator:
 
     def __matmul__(self, other):
         self._check(other)
-        return Operator(self.space, self.matrix @ other.matrix)
+        return Operator(self.space, self.matrix @ other.matrix, _copy=False)
 
     def __add__(self, other):
         self._check(other)
-        return Operator(self.space, self.matrix + other.matrix)
+        return Operator(self.space, self.matrix + other.matrix, _copy=False)
 
     def __sub__(self, other):
         self._check(other)
-        return Operator(self.space, self.matrix - other.matrix)
+        return Operator(self.space, self.matrix - other.matrix, _copy=False)
 
     def __neg__(self):
-        return Operator(self.space, -self.matrix)
+        return Operator(self.space, -self.matrix, _copy=False)
 
     def __mul__(self, scalar):
-        return Operator(self.space, self.matrix * scalar)
+        return Operator(self.space, self.matrix * scalar, _copy=False)
 
     __rmul__ = __mul__
 
@@ -306,7 +330,7 @@ class Operator:
     def adjoint(self):
         """Indefinite adjoint: the unique T# with [Tx, y] = [x, T#y]."""
         sp = self.space
-        return Operator(sp, sp._gram_inv @ self.matrix.conj().T @ sp.gram)
+        return Operator(sp, sp._gram_inv @ self.matrix.conj().T @ sp.gram, _copy=False)
 
     @per_instance
     def norm(self):
@@ -640,11 +664,7 @@ def principal_angles(s1, s2):
 
 
 def subspace_equal(s1, s2, angle_tol=1e-8):
-    if s1.dim != s2.dim:
-        return False
-    if s1.dim == 0:
-        return True
-    return bool(np.max(principal_angles(s1, s2)) <= angle_tol)
+    return s1.dim == s2.dim and subspace_within(s1, s2, angle_tol)
 
 
 def subspace_within(inner, outer, angle_tol=1e-8):
@@ -658,18 +678,15 @@ def subspace_within(inner, outer, angle_tol=1e-8):
 
 def contains_columns(s, columns):
     """Columns lie in S, decided by the rank test rank([basis|cols]) = rank(basis)."""
-    cols = np.asarray(columns, dtype=complex)
-    if cols.ndim == 1:
-        cols = cols[:, None]
-    stacked = np.hstack([s.basis, cols])
+    stacked = np.column_stack([s.basis, np.asarray(columns, dtype=complex)])
     return s.space.rank(stacked) == s.dim
 
 
 def krein_orthogonal(basis, c):
-    """R(C) is Krein-orthogonal to the span of a metric-orthonormal basis, up to
-    the neutral cutoff that decides isotropy times the kept norm of C."""
-    sp = c.space
-    return spectral_norm(basis.conj().T @ sp.gram @ c.matrix) <= sp.neutral_cutoff() * c.norm()
+    """R(C) is Krein-orthogonal to the span of a metric-orthonormal basis, up to the
+    neutral cutoff times ||C||_2, which is factored only within sqrt(n) of the cutoff."""
+    cutoff = c.space.neutral_cutoff()
+    return norm_at_most(basis.conj().T @ c.space.gram @ c.matrix, lambda s: cutoff * s, c)
 
 
 def sum_with_companion_contains(s, c):
@@ -710,10 +727,9 @@ def solve_douglas(y, z):
 def neutral_range(t):
     """True iff R(T) consists of neutral vectors, i.e. T#T vanishes.
 
-    Tested on T scaled to unit norm (scaled_to_unit), whose U#U cannot overflow.
+    Tested on T scaled to a unit largest entry (scaled_to_unit): U#U cannot overflow.
     """
-    scale = t.norm()
-    if scale == 0.0:
+    if not t.matrix.any():
         return True
-    unit = Operator(t.space, scaled_to_unit(t.matrix, scale))
-    return (unit.adjoint() @ unit).norm() <= t.space.tol.num * unit.norm() ** 2
+    unit = Operator(t.space, scaled_to_unit(t.matrix, np.abs(t.matrix).max()))
+    return norm_at_most((unit.adjoint() @ unit).matrix, lambda s: t.space.tol.num * s**2, unit)

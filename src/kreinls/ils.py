@@ -131,11 +131,11 @@ def _value_certificates(b, c, x0, value, inclusion):
 
 
 def _solve_extremal(b, c, sign_condition, sign_reason, seed):
-    """Common body of solve_ims / solve_imax."""
+    """Common body of solve_ims / solve_imax; zero B and C are exact tests on the entries."""
     sp = b.space
-    if b.norm() == 0.0:
+    if not b.matrix.any():
         # zero operator contract: solvable only against a zero right-hand side
-        conditions = {"zero_operator": True, "rhs_zero": c.norm() == 0.0}
+        conditions = {"zero_operator": True, "rhs_zero": not c.matrix.any()}
         if conditions["rhs_zero"]:
             manifold = SolutionManifold(sp.zero(), full_subspace(sp))
             return SolveReport(True, None, conditions, manifold, sp.zero(), 0.0, {}, seed)

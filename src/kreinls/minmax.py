@@ -16,6 +16,7 @@ from .core import (
     decompose_subspace,
     herm,
     neutral_range,
+    norm_at_most,
     range_of,
     sum_with_companion_contains,
 )
@@ -72,8 +73,8 @@ def verify_immso(z0, b, c, j=None, seed=0):
     z1 = normal_equation_solution(b, c, metric=metric)
     gap = b @ (z0 - z1)
     # a gap that is roundoff relative to the problem data is a zero gap
-    scale = b.norm() * max(z0.norm(), z1.norm(), 1.0)
-    if gap.norm() <= sp.tol.num * max(scale, 1.0):
+    num = sp.tol.num
+    if norm_at_most(gap.matrix, lambda nb, *nz: num * max(nb * max(*nz, 1.0), 1.0), b, z0, z1):
         return True
     return neutral_range(gap)
 

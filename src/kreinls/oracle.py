@@ -181,7 +181,7 @@ def hilbert_limit_check(b, c=None, seed=0):
         return Certificate(False, ("moore_penrose_feasibility", None, None), checks, worst)
     record("moore_penrose", mp.solution.matrix, classical_pinv)
 
-    if spectral_norm(b.matrix) > 0.0:
+    if b.matrix.any():
         report = solve_ims(b, c, seed=seed)
         if not report.feasible:
             return Certificate(False, ("ims_feasibility", None, None), checks, worst)

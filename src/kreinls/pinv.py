@@ -76,7 +76,8 @@ def one_two_pair(b):
 
 
 def _require_normal_onto(space, proj, target, label):
-    """Validate Q (Projection, Operator or matrix) as normal onto target; as a Projection."""
+    """Validate Q (Projection, Operator or matrix) as normal onto target; the
+    validated Projection, with its inferred kind (selfadjoint onto a regular target)."""
     op = proj.op if isinstance(proj, Projection) else proj
     if isinstance(op, Operator):
         space, op = op.space, op.matrix
@@ -85,16 +86,7 @@ def _require_normal_onto(space, proj, target, label):
         raise BadProjection(f"{label} does not commute with its adjoint")
     if not subspace_equal(checked.range_sub, target):
         raise BadProjection(f"{label} projects onto the wrong subspace")
-    return proj if isinstance(proj, Projection) else checked
-
-
-def _pair_kind(b, d):
-    sp = b.space
-    bd = b @ d
-    db = d @ b
-    tol = sp.tol.num * max(1.0, b.norm() * d.norm())
-    selfadj = (bd.adjoint() - bd).norm() <= tol and (db.adjoint() - db).norm() <= tol
-    return GeneralizedInverseKind.MOORE_PENROSE if selfadj else GeneralizedInverseKind.NORMAL_PAIR
+    return checked
 
 
 def generalized_inverse(b, q, p):
@@ -102,18 +94,20 @@ def generalized_inverse(b, q, p):
 
     Solves the four-identity system BDB = B, DBD = D with BD and DB both
     normal; the factorization does not depend on which {1,2}-inverse
-    Btilde is used.
+    Btilde is used. BD = Q and DB = I - P: D is the Moore-Penrose inverse iff
+    both validated projections are selfadjoint.
     """
     sp = b.space
     q = _require_normal_onto(sp, q, range_of(b), "Q")
     p = _require_normal_onto(sp, p, nullspace_of(b), "P")
-    return _pair_inverse(b, q, p)
+    return _pair_inverse(b, q, p, {q.kind, p.kind} == {ProjectionKind.SELFADJOINT})
 
 
-def _pair_inverse(b, q, p):
+def _pair_inverse(b, q, p, selfadjoint):
     """generalized_inverse for projections Q, P this module built itself: no validation."""
     d = (b.space.eye() - p.op) @ one_two_inverse(b) @ q.op
-    return GeneralizedInverse(d, q, p, _pair_kind(b, d))
+    kinds = GeneralizedInverseKind
+    return GeneralizedInverse(d, q, p, kinds.MOORE_PENROSE if selfadjoint else kinds.NORMAL_PAIR)
 
 
 def rebuild_generalized_inverse(b, d):
@@ -121,13 +115,17 @@ def rebuild_generalized_inverse(b, d):
     return generalized_inverse(b, (b @ d).matrix, (b.space.eye() - d @ b).matrix)
 
 
+@per_instance
 def canonical_pair(b):
-    """Generalized inverse from the canonical normal projections.
+    """Generalized inverse from the canonical normal projections; kept on B.
 
     Always defined in finite dimension; reduces to the Moore-Penrose
-    inverse when R(B) and N(B) are regular.
+    inverse when R(B) and N(B) are regular, where the normal projections
+    are the selfadjoint ones: the kind is read off the kept classifications.
     """
-    return _pair_inverse(b, normal_projection(range_of(b)), normal_projection(nullspace_of(b)))
+    r, n = range_of(b), nullspace_of(b)
+    regular = r.classification.regular and n.classification.regular
+    return _pair_inverse(b, normal_projection(r), normal_projection(n), regular)
 
 
 def krein_moore_penrose(b, seed=0):

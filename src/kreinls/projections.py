@@ -21,6 +21,7 @@ from .core import (
     _restricted_eigh,
     decompose_subspace,
     isotropic_part,
+    norm_at_most,
     orthogonal_companion,
     per_instance,
     range_of,
@@ -87,8 +88,7 @@ def ando_split(q):
     decomposition.
     """
     op = q.op
-    tol = op.space.tol.num * max(1.0, op.norm())
-    if (op.adjoint() - op).norm() > tol:
+    if not norm_at_most((op.adjoint() - op).matrix, lambda s: op.space.tol.num * max(1, s), op):
         raise NotSelfadjoint("ando_split needs a selfadjoint projection")
     s_plus, s_minus = decompose_subspace(q.range_sub)
     return selfadjoint_projection(s_plus), selfadjoint_projection(s_minus)
@@ -131,15 +131,15 @@ def companion_identity_check(q, y):
 def projection_from_matrix(space, matrix):
     """Wrap a hand-built idempotent, inferring the strongest kind."""
     op = Operator(space, matrix)
-    scale = max(1.0, op.norm())
-    if (op @ op - op).norm() > space.tol.num * scale**2:
+    num = space.tol.num
+    if not norm_at_most((op @ op - op).matrix, lambda s: num * max(1.0, s) ** 2, op):
         raise BadProjection("matrix is not idempotent")
     adj = op.adjoint()
     # normality is tested on every matrix: a selfadjointness residual within
     # tolerance does not bound the commutator within its own
-    if (op @ adj - adj @ op).norm() > space.tol.num * scale**2:
+    if not norm_at_most((op @ adj - adj @ op).matrix, lambda s: num * max(1.0, s) ** 2, op):
         kind = ProjectionKind.OBLIQUE
-    elif (adj - op).norm() <= space.tol.num * scale:
+    elif norm_at_most((adj - op).matrix, lambda s: num * max(1.0, s), op):
         kind = ProjectionKind.SELFADJOINT
     else:
         kind = ProjectionKind.NORMAL

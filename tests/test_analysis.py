@@ -136,7 +136,8 @@ FACTORIZATIONS = ("svd", "eigh", "eigvalsh", "cholesky", "inv", "solve", "pinv",
 
 
 def _count_factorizations(monkeypatch):
-    """Count calls into numpy.linalg's factorizations, as perfbench/tracing.py does."""
+    """Count calls into numpy.linalg's factorizations, and its spectral norms
+    (each a full SVD) as "norm2", as perfbench/tracing.py does."""
     counts = collections.Counter()
     for name in FACTORIZATIONS:
 
@@ -145,6 +146,13 @@ def _count_factorizations(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+
+    def norm(x, ord=None, *args, _fn=np.linalg.norm, **kwargs):
+        if ord == 2:
+            counts["norm2"] += 1
+        return _fn(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
     return counts
 
 
@@ -184,6 +192,70 @@ def test_one_eigh_analyses_a_subspace(index, monkeypatch):
     k.krein_moore_penrose(b)
     memo = k.nullspace_of(b).__dict__.get("_memo", {})
     assert k.orthogonal_companion.__wrapped__ not in memo
+
+
+@pytest.mark.parametrize("index", range(len(INSTANCES)))
+def test_norm_budget_of_a_verdict(index, monkeypatch):
+    """Once the range is kept, an infeasible verdict runs no spectral norm, and
+    canonical_pair is kept: after krein_moore_penrose it costs nothing."""
+    b, c = _fresh(*INSTANCES[index])
+    k.range_of(b)
+    counts = _count_factorizations(monkeypatch)
+    if not k.solve_ims(b, c).feasible:
+        assert counts["norm2"] == 0, counts
+    counts.clear()
+    mp = k.krein_moore_penrose(b)
+    if not mp.feasible:
+        assert counts["norm2"] == 0, counts
+    counts.clear()
+    gi = k.canonical_pair(b)
+    if mp.feasible:
+        assert not counts, counts
+        assert gi.d is mp.solution
+    counts.clear()
+    assert k.canonical_pair(b) is gi
+    assert not counts, counts
+
+
+def _residual_pair_kind(b, d):
+    """The kind rule canonical_pair used before it read the kept classifications:
+    BD and DB selfadjoint at tol.num * max(1, ||B|| ||D||)."""
+    bd, db = b @ d, d @ b
+    tol = b.space.tol.num * max(1.0, b.norm() * d.norm())
+    selfadj = (bd.adjoint() - bd).norm() <= tol and (db.adjoint() - db).norm() <= tol
+    return k.GeneralizedInverseKind.MOORE_PENROSE if selfadj else k.GeneralizedInverseKind.NORMAL_PAIR
+
+
+def _kinds_agree(b):
+    gi = k.canonical_pair(b)
+    assert gi.kind is _residual_pair_kind(b, gi.d)
+    return gi.kind is k.GeneralizedInverseKind.MOORE_PENROSE
+
+
+def test_pair_kind_matches_the_residual_rule_on_the_instances():
+    """Regularity of R(B) and N(B) decides the kind exactly as the residuals did."""
+    assert sum(_kinds_agree(_fresh(b, c)[0]) for b, c in INSTANCES) > 0
+
+
+@pytest.mark.parametrize("start", range(0, 600, 100))
+def test_pair_kind_matches_the_residual_rule_on_degenerate_draws(start):
+    for seed in range(start, start + 100):
+        _kinds_agree(degenerate_instance(seed)[0])
+
+
+@pytest.mark.parametrize("index", range(len(INSTANCES)))
+def test_caller_supplied_projections_keep_their_validated_kind(index):
+    """A Projection passed in is validated and relabelled as its matrix would be."""
+    b, _ = _fresh(*INSTANCES[index])
+    gi = k.canonical_pair(b)
+    as_projections = k.generalized_inverse(b, gi.q, gi.p)
+    as_matrices = k.generalized_inverse(b, gi.q.matrix, gi.p.matrix)
+    assert as_projections.kind is as_matrices.kind is gi.kind
+    for name in ("q", "p"):
+        got, want = getattr(as_projections, name), getattr(as_matrices, name)
+        assert got.kind is want.kind
+        regular = getattr(gi, name).range_sub.classification.regular
+        assert (got.kind is k.ProjectionKind.SELFADJOINT) == regular
 
 
 def test_stated_rank_neither_returns_nor_replaces_the_kept_range(m4):

@@ -2,16 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import kreinls as k
 from conftest import (
     SIGNATURES,
+    feasible_rhs,
     gaussian,
+    infeasible_rhs,
     make_signature_space,
     random_subspace,
+    random_unitary_columns,
     subspace_choices,
 )
+from kreinls.core import _spectral_bracket, krein_orthogonal, norm_at_most, spectral_norm
+from test_analysis import _count_factorizations
+from test_properties import degenerate_instance
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +157,21 @@ def test_operator_matrix_read_only(m2):
     t = m2.operator(np.eye(2))
     with pytest.raises(ValueError):
         t.matrix[0, 0] = 5.0
+
+
+def test_operator_copies_the_callers_array_only(m2):
+    """sp.operator copies what it is given; arithmetic keeps its own fresh results,
+    still checked and read-only."""
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    t = m2.operator(a)
+    a[0, 0] = 9.0
+    assert t.matrix[0, 0] == 1.0 and t.matrix.dtype == complex
+    for made in (t @ t, t + t, t - t, -t, 2.0 * t, t * 2j, t.adjoint()):
+        assert made.matrix.dtype == complex and not made.matrix.flags.writeable
+    with pytest.raises(k.KreinError, match="non-finite"), np.errstate(all="ignore"):
+        t * np.inf
+    with pytest.raises(k.DimensionMismatch):
+        k.Operator(m2, np.eye(3, dtype=complex), _copy=False)
 
 
 def test_operators_and_subspaces_compare_by_identity(m2):
@@ -337,3 +360,61 @@ def test_rank_override():
     cols = np.array([[1.0, 0.0], [0.0, 1e-6]])
     assert k.subspace_from_spanning(loose, cols).dim == 1
     assert k.subspace_from_spanning(strict, cols).dim == 2
+
+
+# ---------------------------------------------------------------------------
+# thresholds on spectral norms, decided by a Frobenius bracket
+# ---------------------------------------------------------------------------
+
+def _extreme_matrix(kind, shape, rng):
+    """Rank one (||.||_2 = ||.||_F) or a scaled isometry (||.||_2 = ||.||_F / sqrt(min(shape)))."""
+    t, n = shape
+    if kind == "rank_one":
+        return np.outer(gaussian(rng, t), gaussian(rng, n))
+    q = random_unitary_columns(rng, max(t, n), min(t, n))
+    return 3.0 * (q if t >= n else q.conj().T)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (4, 4), (128, 128), (3, 128), (128, 2), (1, 4)])
+@pytest.mark.parametrize("kind", ["rank_one", "isometry"])
+@pytest.mark.parametrize("factor", [0.5, 0.999, 1.001, 2.0])
+def test_norm_at_most_decides_as_the_spectral_norm(shape, kind, factor, monkeypatch):
+    """Both ends of the bracket are attained; the answer is the SVD's, and an SVD
+    runs exactly when the bracket straddles the bound."""
+    a = _extreme_matrix(kind, shape, np.random.default_rng(sum(shape)))
+    bound = factor * spectral_norm(a)
+    lo, hi = _spectral_bracket(a)
+    straddles = lo <= bound < hi
+    if (kind == "rank_one") == (factor > 1.0):  # the attained end decides
+        assert not straddles
+    counts = _count_factorizations(monkeypatch)
+    assert norm_at_most(a, lambda: bound) == (factor >= 1.0)
+    assert counts["norm2"] + counts["svd"] == int(straddles), counts
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 128), (0, 4)])
+def test_norm_at_most_of_a_zero_matrix_factors_nothing(shape, monkeypatch):
+    counts = _count_factorizations(monkeypatch)
+    a = np.zeros(shape, dtype=complex)
+    assert norm_at_most(a, lambda: 0.0) and norm_at_most(a, lambda: 1.0)
+    assert not counts, counts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**20),
+    c_exp=st.floats(-100.0, 100.0),
+    mix_exp=st.floats(-14.0, 2.0),
+)
+def test_krein_orthogonal_decides_as_the_spectral_norms(seed, c_exp, mix_exp):
+    """On C reachable up to a part of relative size 10^mix_exp, scaled by 10^c_exp,
+    the feasibility test gives the verdict of the two spectral norms."""
+    b, _, _ = degenerate_instance(seed)
+    sp = b.space
+    rng = np.random.default_rng(seed)
+    inside, outside = feasible_rhs(sp, b, rng), infeasible_rhs(sp, b, rng)
+    assume(outside is not None)
+    c = sp.operator(10.0**c_exp * (inside.matrix + 10.0**mix_exp * outside.matrix))
+    basis = k.isotropic_part(k.range_of(b)).basis
+    residual = spectral_norm(basis.conj().T @ sp.gram @ c.matrix)
+    assert krein_orthogonal(basis, c) == (residual <= sp.neutral_cutoff() * spectral_norm(c.matrix))
