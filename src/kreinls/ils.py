@@ -2,15 +2,18 @@
 
 Solvers report rather than raise: a SolveReport carries feasibility, the
 violated condition names when infeasible, the particular solution plus the
-admissible perturbation space when feasible, the attained value operator,
-and residual certificates. The particular solution is always the minimum
-Hilbert-Frobenius-norm solution of the normal equation B#(BX - C) = 0, which
-reduces to the classical least-squares choice when G = I. No solver forms
+admissible perturbation space when feasible, and the attained value
+operator. Its residual certificates, cross-checks of that answer, are
+computed the first time they are read and then kept. The particular
+solution is always the minimum Hilbert-Frobenius-norm solution of the normal
+equation B#(BX - C) = 0, which reduces to the classical least-squares choice
+when G = I. No solver forms
 B#B, whose zero part is roundoff: X0 and N(B#B) come from the kept range
 analysis (core.NormalEquation).
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +22,7 @@ from .core import (
     full_subspace,
     herm,
     isotropic_part,
+    norm_at_most,
     normal_equation,
     normal_nullspace,
     nullspace_of,
@@ -64,18 +68,36 @@ class SolutionManifold:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """A solver's answer: the verdict, its conditions, the solutions and the value.
+
+    certify is a zero-argument callable returning (residual_normal_eq,
+    certificates). It runs the first time either is read, and its result is
+    kept: a caller that never reads a certificate never pays for one.
+    """
+
     feasible: bool
     reason: str | None
     conditions: dict
     manifold: SolutionManifold | None
     value: Operator | None
-    residual_normal_eq: float
-    certificates: dict = field(default_factory=dict)
+    certify: object  # () -> (residual_normal_eq, certificates)
     seed: int | None = None
 
     @property
     def solution(self):
         return self.manifold.particular if self.manifold is not None else None
+
+    @functools.cached_property
+    def _certified(self):
+        return self.certify()
+
+    residual_normal_eq = property(lambda self: self._certified[0])
+    certificates = property(lambda self: self._certified[1])
+
+
+def _no_certificates():
+    """The certificate builder of a report that has none."""
+    return 0.0, {}
 
 
 def _join_reasons(checks):
@@ -103,8 +125,8 @@ def normal_equation_solution(b, c, metric=None):
     return Operator(b.space, x0)
 
 
-def _attained_value(b, c, x0):
-    r = b @ x0 - c
+def _attained_value(r):
+    """The value R#R at the residual R = BX0 - C."""
     return r.adjoint() @ r
 
 
@@ -112,8 +134,13 @@ def _value_spectrum(value):
     return np.linalg.eigvalsh(herm(value.space.gram @ value.matrix))
 
 
-def _value_certificates(b, c, x0, value, inclusion):
-    """Closed-form cross-checks attached to min/max reports."""
+def _value_formula_residual(value, c, q):
+    closed = c.adjoint() @ (c.space.eye() - q) @ c
+    return (value - closed).norm() / max(1.0, value.norm())
+
+
+def _extremal_certificates(b, c, x0, r, value, inclusion):
+    """Closed-form cross-checks of a min/max report, with its normal-equation residual."""
     certs = {"value_spectrum": _value_spectrum(value)}
     range_sub = range_of(b)
     regular = range_sub.classification.regular
@@ -121,13 +148,12 @@ def _value_certificates(b, c, x0, value, inclusion):
         # R(B) + R(B)^[⊥] is the isotropic part's companion: the feasibility condition
         certs["isotropic_companion_contains_rhs"] = inclusion
     q = normal_projection(range_sub).op
-    closed = c.adjoint() @ (c.space.eye() - q) @ c
-    certs["value_formula_residual"] = (value - closed).norm() / max(1.0, value.norm())
+    certs["value_formula_residual"] = _value_formula_residual(value, c, q)
     if not regular:
         certs["isotropic_containment"] = subspace_within(
             range_of(b @ x0 - q @ c), isotropic_part(range_sub)
         )
-    return certs
+    return (b.adjoint() @ r).norm(), certs
 
 
 def _solve_extremal(b, c, sign_condition, sign_reason, seed):
@@ -138,8 +164,10 @@ def _solve_extremal(b, c, sign_condition, sign_reason, seed):
         conditions = {"zero_operator": True, "rhs_zero": not c.matrix.any()}
         if conditions["rhs_zero"]:
             manifold = SolutionManifold(sp.zero(), full_subspace(sp))
-            return SolveReport(True, None, conditions, manifold, sp.zero(), 0.0, {}, seed)
-        return SolveReport(False, REASON_ZERO_OPERATOR, conditions, None, None, 0.0, {}, seed)
+            return SolveReport(True, None, conditions, manifold, sp.zero(), _no_certificates, seed)
+        return SolveReport(
+            False, REASON_ZERO_OPERATOR, conditions, None, None, _no_certificates, seed
+        )
 
     range_sub = range_of(b)
     inclusion = sum_with_companion_contains(range_sub, c)
@@ -147,14 +175,14 @@ def _solve_extremal(b, c, sign_condition, sign_reason, seed):
     conditions = {"range_inclusion": inclusion, sign_reason[0]: sign_ok}
     reason = _join_reasons([(inclusion, REASON_INCLUSION), (sign_ok, sign_reason[1])])
     if reason is not None:
-        return SolveReport(False, reason, conditions, None, None, 0.0, {}, seed)
+        return SolveReport(False, reason, conditions, None, None, _no_certificates, seed)
 
     x0 = normal_equation_solution(b, c)
-    value = _attained_value(b, c, x0)
+    r = b @ x0 - c
+    value = _attained_value(r)
     manifold = SolutionManifold(x0, normal_nullspace(b))
-    certs = _value_certificates(b, c, x0, value, inclusion)
-    residual = (b.adjoint() @ (b @ x0 - c)).norm()
-    return SolveReport(True, None, conditions, manifold, value, residual, certs, seed)
+    certify = functools.partial(_extremal_certificates, b, c, x0, r, value, inclusion)
+    return SolveReport(True, None, conditions, manifold, value, certify, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -177,27 +205,46 @@ def regular_range_rank_check(b):
     return sp.rank(unit.adjoint().matrix) == sp.rank((unit.adjoint() @ unit).matrix)
 
 
+def _inverse_certificates(b, q, x0):
+    """The rank remark, and for a feasible report the identities of BX0 and its residual."""
+    certs = {"regularity_rank_remark": regular_range_rank_check(b)}
+    if x0 is None:
+        return 0.0, certs
+    bx = b @ x0
+    residual = (b.adjoint() @ (bx - b.space.eye())).norm()
+    certs["inner_inverse_residual"] = (bx @ b - b).norm()
+    certs["projection_selfadjoint_residual"] = (bx.adjoint() - bx).norm()
+    certs["projection_match_residual"] = (bx - q).norm()
+    return residual, certs
+
+
 def indefinite_inverse(b, seed=0):
     """Solve B#(BX - I) = 0; solutions are X0 + {Y : R(Y) ⊆ N(B)}."""
     sp = b.space
     range_sub = range_of(b)
     regular = range_sub.classification.regular
     conditions = {"range_regular": regular}
-    certs = {"regularity_rank_remark": regular_range_rank_check(b)}
     if not regular:
-        return SolveReport(False, REASON_NOT_REGULAR, conditions, None, None, 0.0, certs, seed)
+        certify = functools.partial(_inverse_certificates, b, None, None)
+        return SolveReport(False, REASON_NOT_REGULAR, conditions, None, None, certify, seed)
 
     q = selfadjoint_projection(range_sub).op
     x0 = Operator(sp, pseudo_inverse(b).matrix @ q.matrix)
-    eye = sp.eye()
-    bx = b @ x0
-    residual = (b.adjoint() @ (bx - eye)).norm()
-    certs["inner_inverse_residual"] = (bx @ b - b).norm()
-    certs["projection_selfadjoint_residual"] = (bx.adjoint() - bx).norm()
-    certs["projection_match_residual"] = (bx - q).norm()
     manifold = SolutionManifold(x0, nullspace_of(b))
-    value = _attained_value(b, eye, x0)
-    return SolveReport(True, None, conditions, manifold, value, residual, certs, seed)
+    value = _attained_value(b @ x0 - sp.eye())
+    certify = functools.partial(_inverse_certificates, b, q, x0)
+    return SolveReport(True, None, conditions, manifold, value, certify, seed)
+
+
+def _stationary_certificates(b, c, x0, r, value):
+    """The value spectrum, and on a regular range the closed forms of Q; the residual."""
+    certs = {"value_spectrum": _value_spectrum(value)}
+    range_sub = range_of(b)
+    if range_sub.classification.regular:
+        q = selfadjoint_projection(range_sub).op
+        certs["value_formula_residual"] = _value_formula_residual(value, c, q)
+        certs["projected_equation_residual"] = (b @ x0 - q @ c).norm()
+    return (b.adjoint() @ r).norm(), certs
 
 
 def indefinite_inverse_in_range(b, c, seed=0):
@@ -206,23 +253,17 @@ def indefinite_inverse_in_range(b, c, seed=0):
     Feasible iff R(C) ⊆ R(B) + R(B)^[⊥] = (R(B) ∩ R(B)^[⊥])^[⊥], i.e. iff C is
     Krein-orthogonal to the isotropic part of R(B). X0 is the min-max Z1 part.
     """
-    range_sub = range_of(b)
-    inclusion = sum_with_companion_contains(range_sub, c)
+    inclusion = sum_with_companion_contains(range_of(b), c)
     conditions = {"range_inclusion": inclusion}
     if not inclusion:
-        return SolveReport(False, REASON_INCLUSION, conditions, None, None, 0.0, {}, seed)
+        return SolveReport(False, REASON_INCLUSION, conditions, None, None, _no_certificates, seed)
 
     x0 = normal_equation_solution(b, c)
-    residual = (b.adjoint() @ (b @ x0 - c)).norm()
-    value = _attained_value(b, c, x0)
-    certs = {"value_spectrum": _value_spectrum(value)}
-    if range_sub.classification.regular:
-        q = selfadjoint_projection(range_sub).op
-        closed = c.adjoint() @ (c.space.eye() - q) @ c
-        certs["value_formula_residual"] = (value - closed).norm() / max(1.0, value.norm())
-        certs["projected_equation_residual"] = (b @ x0 - q @ c).norm()
+    r = b @ x0 - c
+    value = _attained_value(r)
     manifold = SolutionManifold(x0, normal_nullspace(b))
-    return SolveReport(True, None, conditions, manifold, value, residual, certs, seed)
+    certify = functools.partial(_stationary_certificates, b, c, x0, r, value)
+    return SolveReport(True, None, conditions, manifold, value, certify, seed)
 
 
 def solve_ims(b, c, seed=0):
@@ -246,9 +287,13 @@ def solve_imax(b, c, seed=0):
 
 
 def verify_ims(x, b, c, trials=200, seed=0):
-    """Accept X iff the normal equation holds and sampling finds no better competitor."""
-    residual = (b.adjoint() @ (b @ x - c)).norm()
-    scale = max(1.0, b.norm() * (b.norm() * x.norm() + c.norm()))
-    if residual > b.space.tol.num * scale:
+    """Accept X iff the normal equation holds and sampling finds no better competitor.
+
+    The normal equation holds when ||B#(BX - C)|| <= tol.num max(1, ||B||(||B|| ||X|| + ||C||)),
+    decided by norm_at_most: a spectral norm is factored only near the cutoff.
+    """
+    num = b.space.tol.num
+    residual = (b.adjoint() @ (b @ x - c)).matrix
+    if not norm_at_most(residual, lambda nb, nx, nc: num * max(1.0, nb * (nb * nx + nc)), b, x, c):
         return False
     return certify_min(b, c, x, trials=trials, seed=seed).verdict

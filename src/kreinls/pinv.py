@@ -7,6 +7,7 @@ and DB = I-P, independent of the {1,2}-inverse Btilde used to build it.
 Selfadjoint choices recover the Moore-Penrose inverse when it exists.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,7 +34,13 @@ from .core import (
     zero_subspace,
 )
 from .errors import BadProjection
-from .ils import SolutionManifold, SolveReport, _join_reasons, normal_equation_solution
+from .ils import (
+    SolutionManifold,
+    SolveReport,
+    _join_reasons,
+    _no_certificates,
+    normal_equation_solution,
+)
 from .projections import (
     Projection,
     ProjectionKind,
@@ -100,12 +107,13 @@ def generalized_inverse(b, q, p):
     sp = b.space
     q = _require_normal_onto(sp, q, range_of(b), "Q")
     p = _require_normal_onto(sp, p, nullspace_of(b), "P")
-    return _pair_inverse(b, q, p, {q.kind, p.kind} == {ProjectionKind.SELFADJOINT})
+    return _pair_inverse(b, q, p)
 
 
-def _pair_inverse(b, q, p, selfadjoint):
+def _pair_inverse(b, q, p):
     """generalized_inverse for projections Q, P this module built itself: no validation."""
     d = (b.space.eye() - p.op) @ one_two_inverse(b) @ q.op
+    selfadjoint = {q.kind, p.kind} == {ProjectionKind.SELFADJOINT}
     kinds = GeneralizedInverseKind
     return GeneralizedInverse(d, q, p, kinds.MOORE_PENROSE if selfadjoint else kinds.NORMAL_PAIR)
 
@@ -121,30 +129,15 @@ def canonical_pair(b):
 
     Always defined in finite dimension; reduces to the Moore-Penrose
     inverse when R(B) and N(B) are regular, where the normal projections
-    are the selfadjoint ones: the kind is read off the kept classifications.
+    are the selfadjoint ones: their kinds are read off the kept classifications.
     """
-    r, n = range_of(b), nullspace_of(b)
-    regular = r.classification.regular and n.classification.regular
-    return _pair_inverse(b, normal_projection(r), normal_projection(n), regular)
+    return _pair_inverse(b, normal_projection(range_of(b)), normal_projection(nullspace_of(b)))
 
 
-def krein_moore_penrose(b, seed=0):
-    """B† = P' Btilde Q with selfadjoint Q onto R(B), P' = I - P onto N(B)^[⊥].
-
-    Exists iff both R(B) and N(B) are regular. The report's certificates
-    carry the four defining residuals, the projection matches, and a
-    uniqueness check that rebuilds B† from a {1,2}-inverse taken in a
-    randomly perturbed positive metric.
-    """
+def _moore_penrose_certificates(b, seed):
+    """The four defining identities of B† = canonical_pair(b).d, the projection
+    matches, and the uniqueness rebuild; the residual is identity_bdb."""
     sp = b.space
-    range_reg = classify(range_of(b)).regular
-    null_reg = classify(nullspace_of(b)).regular
-    conditions = {"range_regular": range_reg, "nullspace_regular": null_reg}
-    reason = _join_reasons([(range_reg, "RangeNotRegular"), (null_reg, "NullspaceNotRegular")])
-    if reason is not None:
-        return SolveReport(False, reason, conditions, None, None, 0.0, {}, seed)
-
-    # regular R(B) and N(B): the canonical normal projections are selfadjoint
     pair = canonical_pair(b)
     q, p_prime, bdag = pair.q.op, sp.eye() - pair.p.op, pair.d
 
@@ -166,10 +159,29 @@ def krein_moore_penrose(b, seed=0):
     bt2 = Operator(sp, hilbert_pinv(sp, b.matrix, metric=other_metric))
     bdag2 = p_prime @ bt2 @ q
     certs["uniqueness_rebuild_dev"] = (bdag2 - bdag).norm() / max(1.0, bdag.norm())
+    return certs["identity_bdb"], certs
 
-    manifold = SolutionManifold(bdag, zero_subspace(sp))
-    residual = certs["identity_bdb"]
-    return SolveReport(True, None, conditions, manifold, None, residual, certs, seed)
+
+def krein_moore_penrose(b, seed=0):
+    """B† = P' Btilde Q with selfadjoint Q onto R(B), P' = I - P onto N(B)^[⊥].
+
+    Exists iff both R(B) and N(B) are regular. The report's certificates
+    carry the four defining residuals, the projection matches, and a
+    uniqueness check that rebuilds B† from a {1,2}-inverse taken in a
+    randomly perturbed positive metric.
+    """
+    sp = b.space
+    range_reg = classify(range_of(b)).regular
+    null_reg = classify(nullspace_of(b)).regular
+    conditions = {"range_regular": range_reg, "nullspace_regular": null_reg}
+    reason = _join_reasons([(range_reg, "RangeNotRegular"), (null_reg, "NullspaceNotRegular")])
+    if reason is not None:
+        return SolveReport(False, reason, conditions, None, None, _no_certificates, seed)
+
+    # regular R(B) and N(B): the canonical normal projections are selfadjoint
+    manifold = SolutionManifold(canonical_pair(b).d, zero_subspace(sp))
+    certify = functools.partial(_moore_penrose_certificates, b, seed)
+    return SolveReport(True, None, conditions, manifold, None, certify, seed)
 
 
 def reduced_generalized_inverse(b, q, p_prime):
@@ -215,6 +227,19 @@ def _min_norm_unreachable(b):
     return np.hstack([s_iso, subspace_from_spanning(b.space, y, rank=w.shape[1]).basis])
 
 
+def _min_norm_certificates(b, c, x1, value):
+    """R(X1) ⊆ N(B#B)^[⊥], the value's spectrum and X1 = DC; the normal-equation residual."""
+    residual = (b.adjoint() @ (b @ x1 - c)).norm()
+    certs = {
+        "range_constraint": subspace_within(
+            range_of(x1), orthogonal_companion(normal_nullspace(b))
+        ),
+        "value_spectrum": np.linalg.eigvalsh(herm(b.space.gram @ value.matrix)),
+        "ims_consistency": (_min_norm_inverse(b) @ c - x1).norm() / max(1.0, x1.norm()),
+    }
+    return residual, certs
+
+
 def solve_min_ims_norm(b, c, seed=0):
     """Minimize X#X over the indefinite-least-squares solutions of BX = C.
 
@@ -242,20 +267,38 @@ def solve_min_ims_norm(b, c, seed=0):
         ]
     )
     if reason is not None:
-        return SolveReport(False, reason, conditions, None, None, 0.0, {}, seed)
+        return SolveReport(False, reason, conditions, None, None, _no_certificates, seed)
 
     p_prime = normal_projection(null_bb).op
     x1 = (sp.eye() - p_prime) @ normal_equation_solution(b, c)
     value = x1.adjoint() @ x1
-
-    residual = (b.adjoint() @ (b @ x1 - c)).norm()
-    certs = {
-        "range_constraint": subspace_within(range_of(x1), orthogonal_companion(null_bb)),
-        "value_spectrum": np.linalg.eigvalsh(herm(sp.gram @ value.matrix)),
-        "ims_consistency": (_min_norm_inverse(b) @ c - x1).norm() / max(1.0, x1.norm()),
-    }
     manifold = SolutionManifold(x1, isotropic_part(null_bb))
-    return SolveReport(True, None, conditions, manifold, value, residual, certs, seed)
+    certify = functools.partial(_min_norm_certificates, b, c, x1, value)
+    return SolveReport(True, None, conditions, manifold, value, certify, seed)
+
+
+def _variational_certificates(b, mp, mn, agree, solvable, seed):
+    """The ladder's agreement and, when both problems are solvable, B† against the
+    variational solution and against B†C for 10 random C; the residual is the
+    first of these deviations."""
+    certs = {"ladder_agrees": agree}
+    if not solvable:
+        return 0.0, certs
+    sp = b.space
+    bdag = mp.solution
+    dev = (mn.solution - bdag).norm() / max(1.0, bdag.norm())
+    certs["variational_equals_moore_penrose"] = dev
+    certs["minimizer_unique"] = mn.manifold.perturbation_space.dim == 0
+    rng = np.random.default_rng(seed)
+    n = sp.dim
+    worst = 0.0
+    for _ in range(10):
+        c = Operator(sp, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        got = solve_min_ims_norm(b, c, seed=seed)
+        ref = bdag @ c
+        worst = max(worst, (got.solution - ref).norm() / max(1.0, ref.norm()))
+    certs["random_rhs_max_dev"] = worst
+    return dev, certs
 
 
 def mp_variational_check(b, seed=0):
@@ -281,24 +324,9 @@ def mp_variational_check(b, seed=0):
         "moore_penrose_nonnegative": cond_mp,
     }
     agree = cond_min == cond_unif == cond_mp
-    certs = {"ladder_agrees": agree}
-    residual = 0.0
-    if cond_min and cond_mp:
-        bdag = mp.solution
-        dev = (mn.solution - bdag).norm() / max(1.0, bdag.norm())
-        certs["variational_equals_moore_penrose"] = dev
-        certs["minimizer_unique"] = mn.manifold.perturbation_space.dim == 0
-        rng = np.random.default_rng(seed)
-        n = sp.dim
-        worst = 0.0
-        for _ in range(10):
-            c = Operator(sp, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            got = solve_min_ims_norm(b, c, seed=seed)
-            ref = bdag @ c
-            worst = max(worst, (got.solution - ref).norm() / max(1.0, ref.norm()))
-        certs["random_rhs_max_dev"] = worst
-        residual = dev
-
     manifold = mp.manifold if mp.feasible else (mn.manifold if mn.feasible else None)
     reason = None if agree else "EquivalenceLadderBroken"
-    return SolveReport(agree, reason, conditions, manifold, mn.value, residual, certs, seed)
+    certify = functools.partial(
+        _variational_certificates, b, mp, mn, agree, cond_min and cond_mp, seed
+    )
+    return SolveReport(agree, reason, conditions, manifold, mn.value, certify, seed)

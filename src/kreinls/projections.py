@@ -95,8 +95,10 @@ def ando_split(q):
 
 
 def normal_projection(s):
-    """One normal projection (QQ# = Q#Q) onto an arbitrary subspace."""
-    return Projection(_normal_operator(s), s, ProjectionKind.NORMAL)
+    """One normal projection (QQ# = Q#Q) onto an arbitrary subspace; onto a
+    regular subspace it is the selfadjoint projection, and labelled so."""
+    kind = ProjectionKind.SELFADJOINT if s.classification.regular else ProjectionKind.NORMAL
+    return Projection(_normal_operator(s), s, kind)
 
 
 @per_instance

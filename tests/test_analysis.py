@@ -121,15 +121,27 @@ def _fresh(b, c):
     return sp.operator(b.matrix), sp.operator(c.matrix)
 
 
+def _certified(result):
+    """Read a report's certificates and residual, which it computes on first read."""
+    if isinstance(result, k.SolveReport):
+        result.certificates
+        result.residual_normal_eq
+    return result
+
+
 @pytest.mark.parametrize("index", range(len(INSTANCES)))
 def test_kept_analysis_changes_no_answer(index):
-    """One shared operator, in either call order, answers as a fresh one per call."""
+    """One shared operator, in either call order, answers as a fresh one per call,
+    also when each report's certificates are read only after every call ran."""
     b, c = INSTANCES[index]
-    fresh = {name: call(*_fresh(b, c)) for name, call in CALLS.items()}
+    fresh = {name: _certified(call(*_fresh(b, c))) for name, call in CALLS.items()}
     for order in (list(CALLS), list(reversed(CALLS))):
         shared_b, shared_c = _fresh(b, c)
+        got = {name: CALLS[name](shared_b, shared_c) for name in order}
+        for name in reversed(order):
+            _certified(got[name])
         for name in order:
-            _same(CALLS[name](shared_b, shared_c), fresh[name])
+            _same(got[name], fresh[name])
 
 
 FACTORIZATIONS = ("svd", "eigh", "eigvalsh", "cholesky", "inv", "solve", "pinv", "qr")
@@ -217,6 +229,32 @@ def test_norm_budget_of_a_verdict(index, monkeypatch):
     assert not counts, counts
 
 
+SOLVERS = ("solve_ims", "solve_immso", "solve_min_ims_norm", "krein_moore_penrose")
+
+
+@pytest.mark.parametrize("index", range(len(INSTANCES)))
+def test_certificates_cost_nothing_until_read(index, monkeypatch):
+    """Once the range is kept, a feasible verdict runs no spectral norm, and once
+    the rest of the analysis is kept, no SVD or eigvalsh, until a certificate is
+    read; a second read costs nothing."""
+    b, c = _fresh(*INSTANCES[index])
+    k.range_of(b)
+    counts = _count_factorizations(monkeypatch)
+    for name in SOLVERS:
+        counts.clear()
+        rep = CALLS[name](b, c)
+        if not rep.feasible:
+            continue
+        assert counts["norm2"] == 0, (name, counts)
+        counts.clear()
+        CALLS[name](b, c)  # every per-operator analysis is kept by now
+        assert counts["norm2"] == counts["svd"] == counts["eigvalsh"] == 0, (name, counts)
+        _certified(rep)
+        counts.clear()
+        _certified(rep)
+        assert not counts, (name, counts)
+
+
 def _residual_pair_kind(b, d):
     """The kind rule canonical_pair used before it read the kept classifications:
     BD and DB selfadjoint at tol.num * max(1, ||B|| ||D||)."""
@@ -290,13 +328,13 @@ def test_public_validators_accept_the_built_projections(index):
 def _every_public_call(b, c):
     sp = b.space
     for call in CALLS.values():
-        call(b, c)
+        _certified(call(b, c))
     r = k.range_of(b)
     k.isotropic_part(r)
     k.decompose_subspace(r)
     k.nullspace_of(b)
-    k.solve_imax(b, c)
-    k.indefinite_inverse(b)
+    _certified(k.solve_imax(b, c))
+    _certified(k.indefinite_inverse(b))
     k.one_two_pair(b)
     gi = k.canonical_pair(b)
     k.generalized_inverse(b, gi.q, gi.p)
@@ -305,9 +343,10 @@ def _every_public_call(b, c):
         b, k.normal_projection(k.range_of(b)), k.normal_projection(normal_nullspace(b))
     )
     k.split_operator(b)
-    ims = k.solve_ims(b, c)
+    ims = _certified(k.solve_ims(b, c))
     if ims.feasible:
         k.certify_min(b, c, ims.solution, trials=20)
+        k.verify_ims(ims.solution, b, c, trials=20)
     if k.solve_immso(b, c).feasible:
         z0 = k.solve_immso(b, c).solution
         k.verify_immso(z0, b, c, j=k.random_fundamental_symmetry(sp, np.random.default_rng(0)))
@@ -315,7 +354,8 @@ def _every_public_call(b, c):
 
 
 def test_no_reference_cycles():
-    """Nothing an operator or subspace keeps refers back to it."""
+    """Nothing an operator, subspace or report keeps refers back to it; every
+    report's certificates are read, so their builders run here too."""
     picks = INSTANCES[:3] + INSTANCES[-2:]
     _every_public_call(*_fresh(*picks[0]))  # warm up
     gc.collect()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import cli_env
 
-from kreinls import cli
+from kreinls import KreinError, SolveReport, cli
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -187,6 +187,24 @@ def test_missing_operand_is_an_input_error(argv, flag, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: this command requires --%s" % flag), err
+
+
+def test_an_error_in_a_certificate_is_an_input_error(monkeypatch, capsys):
+    """A report computes its certificates when the handler reads them: an error
+    raised there ends in exit code 1 like any other."""
+
+    def overflowing():
+        raise KreinError("operator has non-finite entries")
+
+    def solver(b, seed):
+        return SolveReport(True, None, {}, None, None, overflowing, seed)
+
+    monkeypatch.setitem(cli.COMMANDS, "pinv", ("", cli._solver(solver, "b")))
+    monkeypatch.chdir(DATA)
+    assert cli.main(["pinv", "--space", "m2.json", "--b", "b1.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: operator has non-finite entries\n"
 
 
 def test_cli_does_not_import_scipy():

@@ -214,6 +214,33 @@ def test_verify_ims_accepts_and_rejects(m2):
     assert not k.verify_ims(x_stat, neg, neg @ m2.eye())
 
 
+@pytest.mark.parametrize("p,q", SIGNATURES)
+def test_verify_ims_gate_follows_the_spectral_norm(p, q):
+    """At 10x and 0.1x the cutoff, verify_ims's normal-equation gate (trials=0
+    leaves it alone) decides as the SVD of the residual does."""
+    sp = make_signature_space(p, q, seed=3 * p + q)
+    rng = np.random.default_rng(71 + 5 * p + q)
+    num = sp.tol.num
+
+    def cutoff(x, b, c):
+        return num * max(1.0, b.norm() * (b.norm() * x.norm() + c.norm()))
+
+    for n_pos in range(1, p + 1):
+        for n_neutral in (0, 1) if min(p, q) >= 1 else (0,):
+            if n_pos + n_neutral > p or n_neutral > q:
+                continue
+            b = operator_with_range(sp, random_subspace(sp, rng, n_pos, 0, n_neutral), rng)
+            c = feasible_rhs(sp, b, rng)
+            x0 = k.solve_immso(b, c).solution
+            y = sp.operator(gaussian(rng, (sp.dim, sp.dim)))
+            step = (b.adjoint() @ b @ y).norm() / cutoff(x0, b, c)
+            for ratio in (10.0, 0.1):
+                x = x0 + y * (ratio / step)
+                measured = (b.adjoint() @ (b @ x - c)).norm() / cutoff(x, b, c)
+                assert ratio / 2 <= measured <= 2 * ratio
+                assert k.verify_ims(x, b, c, trials=0) == (measured <= 1.0)
+
+
 def test_report_records_seed(m2):
     rep = k.solve_ims(m2.operator(B1), m2.eye(), seed=42)
     assert rep.seed == 42

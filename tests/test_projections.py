@@ -91,6 +91,18 @@ def test_normal_projection_neutral_fixture(m2):
     assert_allclose(q.matrix, 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]), atol=1e-12)
 
 
+def test_normal_projection_onto_a_regular_subspace_is_labelled_selfadjoint(m2, m4):
+    e1 = k.subspace_from_spanning(m2, np.array([[1.0], [0.0]]))
+    assert k.normal_projection(e1).kind is k.ProjectionKind.SELFADJOINT
+    # R(B) = span(e1, e3) and N(B) = span(e2, e4) are both regular
+    b = m4.operator(np.diag([1.0, 0.0, 2.0, 0.0]))
+    gi = k.canonical_pair(b)
+    again = k.generalized_inverse(b, gi.q, gi.p)
+    assert gi.kind is again.kind is k.GeneralizedInverseKind.MOORE_PENROSE
+    assert gi.q.kind is again.q.kind is k.ProjectionKind.SELFADJOINT
+    assert gi.p.kind is again.p.kind is k.ProjectionKind.SELFADJOINT
+
+
 def test_normal_projection_mixed_fixture(m4):
     cols = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
     s = k.subspace_from_spanning(m4, cols)
