@@ -81,9 +81,10 @@ def _spectral_bracket(a):
 
 def norm_at_most(a, bound, *scales):
     """||a||_2 <= bound(||S_1||_2, ...) for operators S_i, bound nondecreasing in
-    each; a spectral norm is computed only when the brackets straddle the cutoff."""
+    each; a spectral norm is computed only when the brackets straddle the cutoff.
+    Each operator keeps its bracket."""
     lo, hi = _spectral_bracket(a)
-    ends = [_spectral_bracket(s.matrix) for s in scales]
+    ends = [_norm_bracket(s) for s in scales]
     if hi <= bound(*(e[0] for e in ends)):
         return True
     if lo > bound(*(e[1] for e in ends)):
@@ -172,19 +173,21 @@ class KreinSpace:
             raise DimensionMismatch("gram matrix is empty; a space needs dimension at least 1")
         if not np.isfinite(gram).all():
             raise KreinError("gram matrix has non-finite entries")
-        scale = spectral_norm(gram)
-        if scale == 0.0 or spectral_norm(gram - gram.conj().T) > self.tol.sym * scale:
+        if not gram.any():
             raise NotHermitian("gram matrix is not Hermitian within tolerance")
-        gram = herm(gram)
-
-        w, v = ordered_eigh(gram)
-        if np.min(np.abs(w)) < self.tol.rank_factor(n) * np.max(np.abs(w)):
+        hermitian = herm(gram)
+        w, v = ordered_eigh(hermitian)
+        scale = float(np.max(np.abs(w)))  # ||G||_2, read off the eigh of its Hermitian part
+        if not norm_at_most(gram - gram.conj().T, lambda: self.tol.sym * scale):
+            raise NotHermitian("gram matrix is not Hermitian within tolerance")
+        gram = hermitian
+        if np.min(np.abs(w)) < self.tol.rank_factor(n) * scale:
             raise SingularGram("gram matrix is numerically singular")
 
         pos = w > 0.0
         self.dim = n
         self.gram = gram
-        self.gram_norm = float(np.max(np.abs(w)))
+        self.gram_norm = scale
         self.signature = (int(np.count_nonzero(pos)), int(np.count_nonzero(~pos)))
         self.j = herm((v * np.sign(w)) @ v.conj().T)
         self.metric = herm((v * np.abs(w)) @ v.conj().T)
@@ -338,6 +341,11 @@ class Operator:
 
 
 @per_instance
+def _norm_bracket(t):
+    return _spectral_bracket(t.matrix)
+
+
+@per_instance
 def metric_svd(t):
     """(U, s, V*, rank): R T R^-1 = U diag(s) V*, R the metric's Cholesky factor.
 
@@ -352,11 +360,22 @@ def metric_svd(t):
 
 
 @per_instance
+def pseudo_inverse_factors(t):
+    """(L, R_t), n x r and r x n, with T's metric pseudoinverse L R_t:
+    L = R^-1 V_r s_r^-1 and R_t = U_r* R, r = rank T."""
+    (u, s, vh, k), sp = metric_svd(t), t.space
+    left = sp._chol_rinv @ (vh[:k].conj().T / s[:k])
+    right = u[:, :k].conj().T @ sp._chol_r
+    for a in (left, right):
+        a.setflags(write=False)
+    return left, right
+
+
+@per_instance
 def pseudo_inverse(t):
     """The metric pseudoinverse of T, its canonical {1,2}-inverse: R^-1 V_r s_r^-1 U_r* R."""
-    (u, s, vh, k), sp = metric_svd(t), t.space
-    inv = (vh[:k].conj().T / s[:k]) @ u[:, :k].conj().T
-    return Operator(sp, sp._chol_rinv @ inv @ sp._chol_r)
+    left, right = pseudo_inverse_factors(t)
+    return Operator(t.space, left @ right, _copy=False)
 
 
 def adjoint(t):
@@ -438,19 +457,31 @@ def _classify_gram(w, thr):
 class Subspace:
     """Column span with a canonical Hilbert-orthonormal basis.
 
-    gram_restricted is basis* G basis exactly as stored.  One eigh of it,
-    kept on first use, decides every sign question at the space's neutral
-    cutoff: the classification and the isotropic, regular, positive and
-    nonpositive parts.  Subspaces compare by identity.
+    frame is the row frame basis* G, and gram_restricted = frame basis is
+    basis* G basis exactly as stored; each is formed on first read and kept.
+    One eigh of the Gram, kept on first use, decides every sign question at
+    the space's neutral cutoff: the classification and the isotropic,
+    regular, positive and nonpositive parts.  Subspaces compare by identity.
     """
 
     space: KreinSpace
     basis: np.ndarray
-    gram_restricted: np.ndarray
 
     @property
     def dim(self):
         return self.basis.shape[1]
+
+    @functools.cached_property
+    def frame(self):
+        f = self.basis.conj().T @ self.space.gram
+        f.setflags(write=False)
+        return f
+
+    @functools.cached_property
+    def gram_restricted(self):
+        g = herm(self.frame @ self.basis)
+        g.setflags(write=False)
+        return g
 
     @functools.cached_property
     def classification(self):
@@ -464,10 +495,8 @@ def _subspace_direct(space, basis, complement=None):
     complement: orthonormal columns spanning R S^⊥, when the construction has them.
     """
     basis = np.array(basis, dtype=complex).reshape(space.dim, -1)
-    gr = herm(basis.conj().T @ space.gram @ basis)
     basis.setflags(write=False)
-    gr.setflags(write=False)
-    s = Subspace(space, basis, gr)
+    s = Subspace(space, basis)
     object.__setattr__(s, "_complement", complement)
     return s
 
@@ -622,12 +651,11 @@ class NormalEquation:
 @per_instance
 def normal_equation(t):
     sp = t.space
-    coupling = regular_part(range_of(t)).basis.conj().T @ sp.gram
+    coupling = regular_part(range_of(t)).frame
     rinv = sp._chol_rinv
     u, s, vh = np.linalg.svd(coupling @ t.matrix @ rinv)  # s.size = dim S_reg, stated
     pinv = rinv @ (vh[: s.size].conj().T / s) @ u.conj().T
-    for a in (coupling, pinv):
-        a.setflags(write=False)
+    pinv.setflags(write=False)
     nullspace = _subspace_direct(sp, rinv @ vh[s.size :].conj().T, vh[: s.size].conj().T)
     return NormalEquation(coupling, pinv, nullspace)
 
@@ -682,16 +710,17 @@ def contains_columns(s, columns):
     return s.space.rank(stacked) == s.dim
 
 
-def krein_orthogonal(basis, c):
-    """R(C) is Krein-orthogonal to the span of a metric-orthonormal basis, up to the
-    neutral cutoff times ||C||_2, which is factored only within sqrt(n) of the cutoff."""
+def krein_orthogonal(frame, c):
+    """R(C) is Krein-orthogonal to the span of a metric-orthonormal basis W, given
+    as its row frame W* G, up to the neutral cutoff times ||C||_2, which is
+    factored only within sqrt(n) of the cutoff."""
     cutoff = c.space.neutral_cutoff()
-    return norm_at_most(basis.conj().T @ c.space.gram @ c.matrix, lambda s: cutoff * s, c)
+    return norm_at_most(frame @ c.matrix, lambda s: cutoff * s, c)
 
 
 def sum_with_companion_contains(s, c):
     """R(C) lies in S + S^[⊥] = (S ∩ S^[⊥])^[⊥]: the solvers' feasibility test."""
-    return krein_orthogonal(isotropic_part(s).basis, c)
+    return krein_orthogonal(isotropic_part(s).frame, c)
 
 
 def subspace_sum(s1, s2):

@@ -3,8 +3,8 @@
 Solvers report rather than raise: a SolveReport carries feasibility, the
 violated condition names when infeasible, the particular solution plus the
 admissible perturbation space when feasible, and the attained value
-operator. Its residual certificates, cross-checks of that answer, are
-computed the first time they are read and then kept. The particular
+operator. The value and the residual certificates, cross-checks of that
+answer, are computed the first time they are read and then kept. The particular
 solution is always the minimum Hilbert-Frobenius-norm solution of the normal
 equation B#(BX - C) = 0, which reduces to the classical least-squares choice
 when G = I. No solver forms
@@ -26,7 +26,7 @@ from .core import (
     normal_equation,
     normal_nullspace,
     nullspace_of,
-    pseudo_inverse,
+    pseudo_inverse_factors,
     range_of,
     scaled_to_unit,
     subspace_within,
@@ -70,22 +70,27 @@ class SolutionManifold:
 class SolveReport:
     """A solver's answer: the verdict, its conditions, the solutions and the value.
 
-    certify is a zero-argument callable returning (residual_normal_eq,
-    certificates). It runs the first time either is read, and its result is
-    kept: a caller that never reads a certificate never pays for one.
+    evaluate is a zero-argument callable returning the value (None when there
+    is none), and certify one returning (residual_normal_eq, certificates).
+    Each runs the first time what it builds is read, and its result is kept:
+    a caller that never reads the value or a certificate never pays for it.
     """
 
     feasible: bool
     reason: str | None
     conditions: dict
     manifold: SolutionManifold | None
-    value: Operator | None
+    evaluate: object  # () -> value
     certify: object  # () -> (residual_normal_eq, certificates)
     seed: int | None = None
 
     @property
     def solution(self):
         return self.manifold.particular if self.manifold is not None else None
+
+    @functools.cached_property
+    def value(self):
+        return self.evaluate()
 
     @functools.cached_property
     def _certified(self):
@@ -98,6 +103,17 @@ class SolveReport:
 def _no_certificates():
     """The certificate builder of a report that has none."""
     return 0.0, {}
+
+
+def _no_value():
+    """The value builder of a report that has none."""
+    return None
+
+
+def _kept(build, *args):
+    """A zero-argument builder of build(*args) that runs it at most once, so a
+    report and its certificate builder share one value."""
+    return functools.cache(functools.partial(build, *args))
 
 
 def _join_reasons(checks):
@@ -125,9 +141,14 @@ def normal_equation_solution(b, c, metric=None):
     return Operator(b.space, x0)
 
 
-def _attained_value(r):
-    """The value R#R at the residual R = BX0 - C."""
+def _square(r):
+    """R#R."""
     return r.adjoint() @ r
+
+
+def _attained_value(b, x, c):
+    """The value R#R at the residual R = BX - C."""
+    return _square(b @ x - c)
 
 
 def _value_spectrum(value):
@@ -139,8 +160,10 @@ def _value_formula_residual(value, c, q):
     return (value - closed).norm() / max(1.0, value.norm())
 
 
-def _extremal_certificates(b, c, x0, r, value, inclusion):
-    """Closed-form cross-checks of a min/max report, with its normal-equation residual."""
+def _extremal_certificates(b, c, x0, value, inclusion):
+    """Closed-form cross-checks of a min/max report, with its normal-equation residual;
+    value is the report's kept value builder."""
+    value = value()
     certs = {"value_spectrum": _value_spectrum(value)}
     range_sub = range_of(b)
     regular = range_sub.classification.regular
@@ -153,7 +176,7 @@ def _extremal_certificates(b, c, x0, r, value, inclusion):
         certs["isotropic_containment"] = subspace_within(
             range_of(b @ x0 - q @ c), isotropic_part(range_sub)
         )
-    return (b.adjoint() @ r).norm(), certs
+    return (b.adjoint() @ (b @ x0 - c)).norm(), certs
 
 
 def _solve_extremal(b, c, sign_condition, sign_reason, seed):
@@ -164,9 +187,9 @@ def _solve_extremal(b, c, sign_condition, sign_reason, seed):
         conditions = {"zero_operator": True, "rhs_zero": not c.matrix.any()}
         if conditions["rhs_zero"]:
             manifold = SolutionManifold(sp.zero(), full_subspace(sp))
-            return SolveReport(True, None, conditions, manifold, sp.zero(), _no_certificates, seed)
+            return SolveReport(True, None, conditions, manifold, sp.zero, _no_certificates, seed)
         return SolveReport(
-            False, REASON_ZERO_OPERATOR, conditions, None, None, _no_certificates, seed
+            False, REASON_ZERO_OPERATOR, conditions, None, _no_value, _no_certificates, seed
         )
 
     range_sub = range_of(b)
@@ -175,13 +198,12 @@ def _solve_extremal(b, c, sign_condition, sign_reason, seed):
     conditions = {"range_inclusion": inclusion, sign_reason[0]: sign_ok}
     reason = _join_reasons([(inclusion, REASON_INCLUSION), (sign_ok, sign_reason[1])])
     if reason is not None:
-        return SolveReport(False, reason, conditions, None, None, _no_certificates, seed)
+        return SolveReport(False, reason, conditions, None, _no_value, _no_certificates, seed)
 
     x0 = normal_equation_solution(b, c)
-    r = b @ x0 - c
-    value = _attained_value(r)
+    value = _kept(_attained_value, b, x0, c)
     manifold = SolutionManifold(x0, normal_nullspace(b))
-    certify = functools.partial(_extremal_certificates, b, c, x0, r, value, inclusion)
+    certify = functools.partial(_extremal_certificates, b, c, x0, value, inclusion)
     return SolveReport(True, None, conditions, manifold, value, certify, seed)
 
 
@@ -226,25 +248,28 @@ def indefinite_inverse(b, seed=0):
     conditions = {"range_regular": regular}
     if not regular:
         certify = functools.partial(_inverse_certificates, b, None, None)
-        return SolveReport(False, REASON_NOT_REGULAR, conditions, None, None, certify, seed)
+        return SolveReport(False, REASON_NOT_REGULAR, conditions, None, _no_value, certify, seed)
 
     q = selfadjoint_projection(range_sub).op
-    x0 = Operator(sp, pseudo_inverse(b).matrix @ q.matrix)
+    left, right = pseudo_inverse_factors(b)
+    x0 = Operator(sp, left @ (right @ q.matrix), _copy=False)
     manifold = SolutionManifold(x0, nullspace_of(b))
-    value = _attained_value(b @ x0 - sp.eye())
+    value = _kept(_attained_value, b, x0, sp.eye())
     certify = functools.partial(_inverse_certificates, b, q, x0)
     return SolveReport(True, None, conditions, manifold, value, certify, seed)
 
 
-def _stationary_certificates(b, c, x0, r, value):
-    """The value spectrum, and on a regular range the closed forms of Q; the residual."""
+def _stationary_certificates(b, c, x0, value):
+    """The value spectrum, and on a regular range the closed forms of Q; the residual.
+    value is the report's kept value builder."""
+    value = value()
     certs = {"value_spectrum": _value_spectrum(value)}
     range_sub = range_of(b)
     if range_sub.classification.regular:
         q = selfadjoint_projection(range_sub).op
         certs["value_formula_residual"] = _value_formula_residual(value, c, q)
         certs["projected_equation_residual"] = (b @ x0 - q @ c).norm()
-    return (b.adjoint() @ r).norm(), certs
+    return (b.adjoint() @ (b @ x0 - c)).norm(), certs
 
 
 def indefinite_inverse_in_range(b, c, seed=0):
@@ -256,13 +281,14 @@ def indefinite_inverse_in_range(b, c, seed=0):
     inclusion = sum_with_companion_contains(range_of(b), c)
     conditions = {"range_inclusion": inclusion}
     if not inclusion:
-        return SolveReport(False, REASON_INCLUSION, conditions, None, None, _no_certificates, seed)
+        return SolveReport(
+            False, REASON_INCLUSION, conditions, None, _no_value, _no_certificates, seed
+        )
 
     x0 = normal_equation_solution(b, c)
-    r = b @ x0 - c
-    value = _attained_value(r)
+    value = _kept(_attained_value, b, x0, c)
     manifold = SolutionManifold(x0, normal_nullspace(b))
-    certify = functools.partial(_stationary_certificates, b, c, x0, r, value)
+    certify = functools.partial(_stationary_certificates, b, c, x0, value)
     return SolveReport(True, None, conditions, manifold, value, certify, seed)
 
 

@@ -26,6 +26,7 @@ from .core import (
     orthogonal_companion,
     per_instance,
     pseudo_inverse,
+    pseudo_inverse_factors,
     range_of,
     regular_part,
     subspace_equal,
@@ -38,7 +39,10 @@ from .ils import (
     SolutionManifold,
     SolveReport,
     _join_reasons,
+    _kept,
     _no_certificates,
+    _no_value,
+    _square,
     normal_equation_solution,
 )
 from .projections import (
@@ -111,8 +115,11 @@ def generalized_inverse(b, q, p):
 
 
 def _pair_inverse(b, q, p):
-    """generalized_inverse for projections Q, P this module built itself: no validation."""
-    d = (b.space.eye() - p.op) @ one_two_inverse(b) @ q.op
+    """generalized_inverse for projections Q, P this module built itself: no validation.
+
+    With Btilde = L R_t (pseudo_inverse_factors), D = (L - P L)(R_t Q): rank r throughout."""
+    left, right = pseudo_inverse_factors(b)
+    d = Operator(b.space, (left - p.matrix @ left) @ (right @ q.matrix), _copy=False)
     selfadjoint = {q.kind, p.kind} == {ProjectionKind.SELFADJOINT}
     kinds = GeneralizedInverseKind
     return GeneralizedInverse(d, q, p, kinds.MOORE_PENROSE if selfadjoint else kinds.NORMAL_PAIR)
@@ -176,12 +183,12 @@ def krein_moore_penrose(b, seed=0):
     conditions = {"range_regular": range_reg, "nullspace_regular": null_reg}
     reason = _join_reasons([(range_reg, "RangeNotRegular"), (null_reg, "NullspaceNotRegular")])
     if reason is not None:
-        return SolveReport(False, reason, conditions, None, None, _no_certificates, seed)
+        return SolveReport(False, reason, conditions, None, _no_value, _no_certificates, seed)
 
     # regular R(B) and N(B): the canonical normal projections are selfadjoint
     manifold = SolutionManifold(canonical_pair(b).d, zero_subspace(sp))
     certify = functools.partial(_moore_penrose_certificates, b, seed)
-    return SolveReport(True, None, conditions, manifold, None, certify, seed)
+    return SolveReport(True, None, conditions, manifold, _no_value, certify, seed)
 
 
 def reduced_generalized_inverse(b, q, p_prime):
@@ -213,7 +220,7 @@ def _min_norm_inverse(b):
 
 @per_instance
 def _min_norm_unreachable(b):
-    """A metric-orthonormal basis of T^[⊥], T = B(N(B#B)^[⊥]) + R(B)^[⊥].
+    """W* G for a metric-orthonormal basis W of T^[⊥], T = B(N(B#B)^[⊥]) + R(B)^[⊥].
 
     T^[⊥] = {y ∈ R(B) : B#y ∈ N(B#B)} = S_iso ⊕ {y ∈ S_reg : B#y ∈ iso N(B#B)},
     as B# kills S_iso and B#(R(B)) ∩ N(B#B) = iso N(B#B). Each w there is B#y
@@ -224,11 +231,14 @@ def _min_norm_unreachable(b):
     w = isotropic_part(eq.nullspace).basis
     y = regular_part(range_of(b)).basis @ (eq.pinv.conj().T @ (b.space.gram @ w))
     # Y ⊆ S_reg is metric-orthogonal to S_iso, so the bases stack as they are
-    return np.hstack([s_iso, subspace_from_spanning(b.space, y, rank=w.shape[1]).basis])
+    basis = np.hstack([s_iso, subspace_from_spanning(b.space, y, rank=w.shape[1]).basis])
+    return basis.conj().T @ b.space.gram
 
 
 def _min_norm_certificates(b, c, x1, value):
-    """R(X1) ⊆ N(B#B)^[⊥], the value's spectrum and X1 = DC; the normal-equation residual."""
+    """R(X1) ⊆ N(B#B)^[⊥], the value's spectrum and X1 = DC; the normal-equation residual.
+    value is the report's kept value builder."""
+    value = value()
     residual = (b.adjoint() @ (b @ x1 - c)).norm()
     certs = {
         "range_constraint": subspace_within(
@@ -267,11 +277,11 @@ def solve_min_ims_norm(b, c, seed=0):
         ]
     )
     if reason is not None:
-        return SolveReport(False, reason, conditions, None, None, _no_certificates, seed)
+        return SolveReport(False, reason, conditions, None, _no_value, _no_certificates, seed)
 
     p_prime = normal_projection(null_bb).op
     x1 = (sp.eye() - p_prime) @ normal_equation_solution(b, c)
-    value = x1.adjoint() @ x1
+    value = _kept(_square, x1)
     manifold = SolutionManifold(x1, isotropic_part(null_bb))
     certify = functools.partial(_min_norm_certificates, b, c, x1, value)
     return SolveReport(True, None, conditions, manifold, value, certify, seed)
@@ -329,4 +339,4 @@ def mp_variational_check(b, seed=0):
     certify = functools.partial(
         _variational_certificates, b, mp, mn, agree, cond_min and cond_mp, seed
     )
-    return SolveReport(agree, reason, conditions, manifold, mn.value, certify, seed)
+    return SolveReport(agree, reason, conditions, manifold, mn.evaluate, certify, seed)

@@ -64,8 +64,7 @@ def selfadjoint_projection(s):
 @per_instance
 def _selfadjoint_operator(s):
     """Kept on s; the Projection wrapper refers back to s, so it is built per call."""
-    sp = s.space
-    return Operator(sp, s.basis @ np.linalg.solve(s.gram_restricted, s.basis.conj().T @ sp.gram))
+    return Operator(s.space, s.basis @ np.linalg.solve(s.gram_restricted, s.frame), _copy=False)
 
 
 def oblique_projection(m, n):
@@ -111,15 +110,16 @@ def _normal_operator(s):
     iso = isotropic_part(s).basis
 
     # regular complement K of the regular part, with its local signature operator
+    # J_K = V sign(w) V*, applied thin: every product below has dim S^o columns
     comp = orthogonal_companion(s_reg)
     wk, vk = _restricted_eigh(comp)
-    jk = (vk * np.sign(wk)) @ vk.conj().T
-    partner = comp.basis @ (jk @ (comp.basis.conj().T @ sp.metric @ iso))
+    local = vk.conj().T @ (comp.basis.conj().T @ (sp.metric @ iso))
+    partner = comp.basis @ (vk @ (np.sign(wk)[:, None] * local))
 
-    # onto S^o along N^[⊥]: S^o (N* G S^o)^-1 N* G
+    # onto S^o along N^[⊥]: S^o (N* G S^o)^-1 N* G, applied to I - Q_reg
     paired = partner.conj().T @ sp.gram
-    onto_iso = iso @ np.linalg.solve(paired @ iso, paired)
-    return Operator(sp, q1 + onto_iso @ (np.eye(sp.dim) - q1))
+    coeff = np.linalg.solve(paired @ iso, paired)
+    return Operator(sp, q1 + iso @ (coeff - coeff @ q1), _copy=False)
 
 
 def companion_identity_check(q, y):

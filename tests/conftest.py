@@ -127,13 +127,15 @@ def feasible_rhs(space, b, rng):
 
 
 def excluded_direction(space, b):
-    """A vector outside R(B) + R(B)^[⊥], or None when that sum is everything."""
-    range_sub = k.range_of(b)
-    total = k.subspace_sum(range_sub, k.orthogonal_companion(range_sub))
-    if total.dim == space.dim:
+    """A vector outside R(B) + R(B)^[⊥], or None when that sum is everything.
+
+    R(B) + R(B)^[⊥] = (S°)^[⊥] for the isotropic part S° of R(B). For the first
+    basis vector s° of S°, [J s°, s°] = <s°, s°> = 1, so J s° lies outside.
+    """
+    iso = k.isotropic_part(k.range_of(b))
+    if iso.dim == 0:
         return None
-    rest = k.core.nullspace_matrix(space, total.basis.conj().T @ space.metric)
-    return rest[:, 0]
+    return space.j @ iso.basis[:, 0]
 
 
 def infeasible_rhs(space, b, rng):

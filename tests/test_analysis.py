@@ -24,7 +24,7 @@ from conftest import (
     random_subspace,
     subspace_choices,
 )
-from kreinls.core import normal_nullspace
+from kreinls.core import normal_nullspace, spectral_norm
 from kreinls.pinv import _min_norm_inverse
 from test_properties import degenerate_instance
 
@@ -253,6 +253,113 @@ def test_certificates_cost_nothing_until_read(index, monkeypatch):
         counts.clear()
         _certified(rep)
         assert not counts, (name, counts)
+
+
+# the nine public calls of a benchmark item, in its order (perfbench/solver.py)
+ITEM_CALLS = tuple(CALLS)[:9]
+
+# what each call factors, summed over INSTANCES, each run on a fresh operator in
+# ITEM_CALLS order: measured before B+ and D came from thin factors and the
+# values and Grams were formed on first read, which left every count as it was
+FACTORIZATION_BUDGET = {
+    "range_of": {"svd": 80},
+    "classify": {"eigh": 80},
+    "orthogonal_companion": {},
+    "normal_projection": {"eigh": 40, "solve": 120},
+    "solve_ims": {"svd": 32},
+    "krein_moore_penrose": {"eigh": 80, "solve": 40},
+    "canonical_pair": {"solve": 40},
+    "solve_min_ims_norm": {"eigh": 80, "solve": 14, "svd": 48},
+    "solve_immso": {},
+}
+
+
+def test_factorization_budget_of_a_benchmark_item(monkeypatch):
+    """A verdict item factors what it factored when the budget was pinned: a change
+    that adds a factorization or spectral norm to one of its calls fails here."""
+    counts = _count_factorizations(monkeypatch)
+    got = {name: collections.Counter() for name in ITEM_CALLS}
+    for b, c in INSTANCES:
+        b, c = _fresh(b, c)
+        for name in ITEM_CALLS:
+            counts.clear()
+            CALLS[name](b, c)
+            got[name].update(counts)
+    assert {name: dict(spent) for name, spent in got.items()} == FACTORIZATION_BUDGET
+
+
+VALUED = ("solve_ims", "solve_immso", "solve_min_ims_norm")
+
+
+@pytest.mark.parametrize("index", range(len(INSTANCES)))
+def test_value_is_formed_on_first_read(index):
+    """A feasible report forms its value when .value or a certificate is first read,
+    once for both; two reads return one Operator, bit-identical to R#R."""
+    b, c = _fresh(*INSTANCES[index])
+    for name in VALUED:
+        for value_first in (True, False):
+            rep = CALLS[name](b, c)
+            if not rep.feasible:
+                break
+            assert rep.evaluate.cache_info().misses == 0, name
+            if value_first:
+                value = rep.value
+                _certified(rep)
+            else:
+                _certified(rep)
+                value = rep.value
+            assert rep.value is value
+            assert rep.evaluate.cache_info().misses == 1, name
+            r = rep.solution if name == "solve_min_ims_norm" else b @ rep.solution - c
+            assert np.array_equal(value.matrix, (r.adjoint() @ r).matrix), name
+
+
+@pytest.mark.parametrize("index", range(len(INSTANCES)))
+def test_unasked_signs_form_no_gram(index):
+    """After the verdicts, a kept part or companion whose sign no verdict reads
+    holds no restricted Gram; classifying it forms one."""
+    b, c = _fresh(*INSTANCES[index])
+    for name in ("orthogonal_companion", *SOLVERS, "canonical_pair"):
+        CALLS[name](b, c)
+    unasked = (
+        k.isotropic_part(k.range_of(b)),
+        k.isotropic_part(normal_nullspace(b)),
+        k.orthogonal_companion(k.range_of(b)),
+    )
+    for s in unasked:
+        assert "gram_restricted" not in vars(s)
+    companion = unasked[-1]
+    companion.classification
+    assert "gram_restricted" in vars(companion)
+
+
+ID_TOL = 1e-9  # identity residuals, as in the acceptance suite
+
+
+def _three_product_pseudo_inverse(b):
+    """R^-1 (V_r s_r^-1 U_r*) R: the reference for pseudo_inverse's thin factors."""
+    sp = b.space
+    u, s, vh, r = k.core.metric_svd(b)
+    return sp._chol_rinv @ ((vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T) @ sp._chol_r
+
+
+def _relative_gap(got, want):
+    return spectral_norm(got - want) / max(spectral_norm(want), np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("index", range(len(INSTANCES)))
+def test_thin_factors_match_the_three_product_forms(index):
+    """B+ = L R_t and D = (L - P L)(R_t Q) agree with R^-1 B+_M R and (I - P) B+ Q."""
+    b, _ = _fresh(*INSTANCES[index])
+    btilde = _three_product_pseudo_inverse(b)
+    assert _relative_gap(k.core.pseudo_inverse(b).matrix, btilde) <= 1e-12
+    gi = k.canonical_pair(b)
+    d = (np.eye(b.space.dim) - gi.p.matrix) @ btilde @ gi.q.matrix
+    assert _relative_gap(gi.d.matrix, d) <= 1e-12
+    d = gi.d
+    scale = max(1.0, b.norm()) ** 2 * max(1.0, d.norm()) ** 2
+    assert (b @ d @ b - b).norm() <= ID_TOL * scale
+    assert (d @ b @ d - d).norm() <= ID_TOL * scale
 
 
 def _residual_pair_kind(b, d):

@@ -197,7 +197,7 @@ def test_an_error_in_a_certificate_is_an_input_error(monkeypatch, capsys):
         raise KreinError("operator has non-finite entries")
 
     def solver(b, seed):
-        return SolveReport(True, None, {}, None, None, overflowing, seed)
+        return SolveReport(True, None, {}, None, lambda: None, overflowing, seed)
 
     monkeypatch.setitem(cli.COMMANDS, "pinv", ("", cli._solver(solver, "b")))
     monkeypatch.chdir(DATA)

@@ -51,6 +51,39 @@ def test_space_rejects_non_finite():
         k.make_space(np.diag([1.0, np.nan]))
 
 
+def test_space_rejects_zero_gram():
+    with pytest.raises(k.NotHermitian):
+        k.make_space(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("factor", [10.0, 1.25, 0.8, 0.1])
+@pytest.mark.parametrize("p,q", SIGNATURES)
+def test_gram_hermitian_test_follows_the_skew_part(p, q, factor):
+    """G = H + K with K* = -K and ||G - G*||_2 = factor * tol.sym * ||G||_2: rejected
+    above the cutoff, accepted below it, with the space of herm(G)."""
+    h = make_signature_space(p, q, seed=7 * p + q).gram
+    n = p + q
+    rng = np.random.default_rng(13 * p + q)
+    frame = random_unitary_columns(rng, n, 2)
+    skew = frame[:, [0]] @ frame[:, [1]].conj().T
+    skew = (skew - skew.conj().T) / 2.0  # rank 2, ||skew||_2 = 1/2
+    cutoff = k.Tolerances().sym * spectral_norm(h)
+    g = h + factor * cutoff * skew
+    if factor > 1.0:
+        with pytest.raises(k.NotHermitian):
+            k.make_space(g)
+    else:
+        assert_allclose(k.make_space(g).gram, h, rtol=0, atol=1e-15 * spectral_norm(h))
+
+
+def test_make_space_runs_four_factorizations(monkeypatch):
+    """The eigh, the inverse of G, the Cholesky factor and its inverse: no SVD."""
+    g = make_signature_space(3, 1, seed=4).gram
+    counts = _count_factorizations(monkeypatch)
+    k.make_space(g)
+    assert counts == {"eigh": 1, "inv": 2, "cholesky": 1}, counts
+
+
 @pytest.mark.parametrize("p,q", SIGNATURES)
 def test_fundamental_decomposition(p, q):
     sp = make_signature_space(p, q, seed=11 * p + q)
@@ -415,6 +448,7 @@ def test_krein_orthogonal_decides_as_the_spectral_norms(seed, c_exp, mix_exp):
     inside, outside = feasible_rhs(sp, b, rng), infeasible_rhs(sp, b, rng)
     assume(outside is not None)
     c = sp.operator(10.0**c_exp * (inside.matrix + 10.0**mix_exp * outside.matrix))
-    basis = k.isotropic_part(k.range_of(b)).basis
-    residual = spectral_norm(basis.conj().T @ sp.gram @ c.matrix)
-    assert krein_orthogonal(basis, c) == (residual <= sp.neutral_cutoff() * spectral_norm(c.matrix))
+    iso = k.isotropic_part(k.range_of(b))
+    residual = spectral_norm(iso.basis.conj().T @ sp.gram @ c.matrix)
+    want = residual <= sp.neutral_cutoff() * spectral_norm(c.matrix)
+    assert krein_orthogonal(iso.frame, c) == want

@@ -27,9 +27,8 @@ SPACES = [make_signature_space(p, q, seed=29 + 3 * p + q) for p, q in SIGNATURES
 def degenerate_instance(seed):
     """(B, C, reachable): R(B) has neutral directions, C is built in or out of reach.
 
-    C is None when infeasible_rhs finds no excluded direction: its rank test
-    on R(B) + R(B)^[⊥] keeps a roundoff singular value on a few percent of
-    these ranges.
+    C is None when infeasible_rhs finds no excluded direction, which happens
+    only when R(B) comes out regular.
     """
     rng = np.random.default_rng(seed)
     sp = SPACES[seed % len(SPACES)]
