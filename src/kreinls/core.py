@@ -193,7 +193,7 @@ class KreinSpace:
         self.metric = herm((v * np.abs(w)) @ v.conj().T)
         self.basis_plus = v[:, pos] / np.sqrt(np.abs(w[pos]))
         self.basis_minus = v[:, ~pos] / np.sqrt(np.abs(w[~pos]))
-        self._gram_inv = np.linalg.inv(gram)
+        self._gram_inv = herm((v / w) @ v.conj().T)
         self._chol_r, self._chol_rinv = metric_factors(self.metric)
         # R J R^-1, made unitary to roundoff by one Newton-Schulz step
         w0 = herm(self._chol_r @ self.j @ self._chol_rinv)
@@ -592,7 +592,7 @@ def orthogonal_companion(s):
     complement = getattr(s, "_complement", None)
     if complement is not None:
         c = sp._chol_rinv @ (sp._j_frame @ complement)
-        c -= (sp.j @ s.basis) @ (s.basis.conj().T @ (sp.gram @ c))
+        c -= (sp.j @ s.basis) @ (s.frame @ c)
         return _subspace_direct(sp, c)
     return subspace_from_spanning(sp, nullspace_matrix(sp, s.basis.conj().T @ sp.gram))
 

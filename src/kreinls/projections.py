@@ -1,14 +1,10 @@
 """Projections in an indefinite metric: selfadjoint, oblique, split, normal.
 
-The normal-projection construction for a degenerate subspace S works inside
-the regular complement K of the regular part of S: the isotropic part S^o is
-paired there with a neutral partner N = J_K S^o (J_K the local signature
-operator, read off K's kept restricted eigh), so S^o [+] N is regular and
-N^[⊥] = N [+] (S^o [+] N)^[⊥] is a complement of S^o. The projection onto
-S^o along N^[⊥], S^o (N* G S^o)^-1 N* G, one dim S^o square solve, extends
-the selfadjoint projection of the regular part to a normal projection onto
-all of S. When S is regular the recipe collapses to the selfadjoint
-projection onto S itself.
+A normal projection onto a degenerate subspace S = S_reg [+] S^o adds to the
+selfadjoint projection Q_reg onto the regular part the metric-orthogonal
+projection P^o = S^o S^o* M onto the isotropic part, applied to I - Q_reg;
+no companion is built and nothing is factored beyond Q_reg's solve. When S
+is regular the recipe collapses to the selfadjoint projection onto S itself.
 """
 
 from dataclasses import dataclass
@@ -18,11 +14,9 @@ import numpy as np
 
 from .core import (
     Operator,
-    _restricted_eigh,
     decompose_subspace,
     isotropic_part,
     norm_at_most,
-    orthogonal_companion,
     per_instance,
     range_of,
     regular_part,
@@ -102,23 +96,21 @@ def normal_projection(s):
 
 @per_instance
 def _normal_operator(s):
+    """Q_reg + P^o (I - Q_reg), P^o = S^o S^o* M: the projection onto S^o along
+    N^[⊥] for its neutral partner N = J_K S^o in K = S_reg^[⊥] (J_K the signature
+    operator of K), which is the same operator because J_K S^o = J S^o:
+    - S^o is metric-orthogonal to S_reg (one kept eigh), so [Jx, s] = <x, s> = 0
+      for x in S^o, s in S_reg: J S^o lies in K;
+    - J_K = sign(C) for the compression C = P_K J|_K, and Cx = Jx, C(Jx) = x, so
+      x lies in C's +-1 eigenspaces, where sign(C) = C: J_K x = Jx;
+    - with N = J S^o, N* G = S^o* M and N* G S^o = I, so S^o (N* G S^o)^-1 N* G = P^o.
+    """
     if s.classification.regular:
         return _selfadjoint_operator(s)
     sp = s.space
-    s_reg = regular_part(s)
-    q1 = _selfadjoint_operator(s_reg).matrix
+    q1 = _selfadjoint_operator(regular_part(s)).matrix
     iso = isotropic_part(s).basis
-
-    # regular complement K of the regular part, with its local signature operator
-    # J_K = V sign(w) V*, applied thin: every product below has dim S^o columns
-    comp = orthogonal_companion(s_reg)
-    wk, vk = _restricted_eigh(comp)
-    local = vk.conj().T @ (comp.basis.conj().T @ (sp.metric @ iso))
-    partner = comp.basis @ (vk @ (np.sign(wk)[:, None] * local))
-
-    # onto S^o along N^[⊥]: S^o (N* G S^o)^-1 N* G, applied to I - Q_reg
-    paired = partner.conj().T @ sp.gram
-    coeff = np.linalg.solve(paired @ iso, paired)
+    coeff = iso.conj().T @ sp.metric
     return Operator(sp, q1 + iso @ (coeff - coeff @ q1), _copy=False)
 
 

@@ -260,12 +260,13 @@ ITEM_CALLS = tuple(CALLS)[:9]
 
 # what each call factors, summed over INSTANCES, each run on a fresh operator in
 # ITEM_CALLS order: measured before B+ and D came from thin factors and the
-# values and Grams were formed on first read, which left every count as it was
+# values and Grams were formed on first read, which left every count as it was;
+# normal_projection then dropped the eigh and the solve of the regular companion
 FACTORIZATION_BUDGET = {
     "range_of": {"svd": 80},
     "classify": {"eigh": 80},
     "orthogonal_companion": {},
-    "normal_projection": {"eigh": 40, "solve": 120},
+    "normal_projection": {"solve": 80},
     "solve_ims": {"svd": 32},
     "krein_moore_penrose": {"eigh": 80, "solve": 40},
     "canonical_pair": {"solve": 40},

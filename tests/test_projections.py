@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import kreinls as k
@@ -12,6 +14,8 @@ from conftest import (
     make_signature_space,
     random_subspace,
 )
+from kreinls.core import isotropic_part, nullspace_matrix, regular_part
+from test_analysis import _count_factorizations
 
 
 def test_selfadjoint_fixture(m2):
@@ -136,6 +140,87 @@ def test_normal_projection_random_degenerate(p, q):
         assert (op @ op - op).norm() <= 1e-9 * scale
         assert (op @ adj - adj @ op).norm() <= 1e-9 * scale
         assert k.subspace_equal(k.range_of(op), s)
+
+
+@pytest.mark.parametrize("p,q", SIGNATURES)
+def test_normal_projection_of_a_user_subspace_factors_nothing_more(p, q, monkeypatch):
+    """On a degenerate subspace_from_spanning subspace, the normal projection runs
+    S's own kept eigh and the regular part's solve (0 x 0 on a neutral S): no SVD,
+    no companion."""
+    sp = make_signature_space(p, q, seed=200 + 3 * p + q)
+    rng = np.random.default_rng(p * q)
+    for choice in degenerate_choices(sp):
+        s = random_subspace(sp, rng, *choice)
+        counts = _count_factorizations(monkeypatch)
+        k.normal_projection(s)
+        assert counts == {"eigh": 1, "solve": 1}, counts
+        counts.clear()
+        k.normal_projection(s)
+        assert not counts, counts
+
+
+def _conditioned_space(rng, p, q, cond):
+    """Inertia (p, q), Gram condition cond, eigenvalues log-spaced in a random basis."""
+    n = p + q
+    w = np.concatenate([np.ones(p), -np.ones(q)]) * np.logspace(-0.5, 0.5, n, base=cond)
+    u, _ = np.linalg.qr(gaussian(rng, (n, n)))
+    g = (u * rng.permutation(w)) @ u.conj().T
+    return k.make_space((g + g.conj().T) / 2.0)
+
+
+def _companion_construction(s):
+    """The normal projection as built before from the regular companion
+    K = S_reg^[⊥] (by SVD here): Q_reg + S^o (N* G S^o)^-1 N* G (I - Q_reg) with
+    the neutral partner N = J_K S^o, J_K read off an eigh of K's Gram."""
+    sp = s.space
+    s_reg = regular_part(s)
+    q1 = k.selfadjoint_projection(s_reg).matrix
+    iso = isotropic_part(s).basis
+    comp = k.subspace_from_spanning(sp, nullspace_matrix(sp, s_reg.frame))
+    wk, vk = np.linalg.eigh(comp.gram_restricted)
+    local = vk.conj().T @ (comp.basis.conj().T @ (sp.metric @ iso))
+    partner = comp.basis @ (vk @ (np.sign(wk)[:, None] * local))
+    paired = partner.conj().T @ sp.gram
+    coeff = np.linalg.solve(paired @ iso, paired)
+    return q1 + iso @ (coeff - coeff @ q1)
+
+
+SHAPES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (4, 2)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**20),
+    shape=st.sampled_from(SHAPES),
+    cond=st.sampled_from([1.0, 1e4, 1e8]),
+)
+def test_normal_projection_is_the_companion_construction(seed, shape, cond):
+    """Q_reg + P^o (I - Q_reg) is a normal projection onto S and the operator the
+    companion construction gives, because J S^o is Krein-orthogonal to S_reg.
+
+    Roundoff scales with cond(G): the restricted Gram of a metric-orthonormal
+    basis S is formed with error of order eps ||S||^2 ||G|| <= eps cond(G), so Q
+    carries an error of order eps cond(G) ||Q||, and a product with Q one more ||Q||."""
+    rng = np.random.default_rng(seed)
+    sp = _conditioned_space(rng, *shape, cond)
+    choices = degenerate_choices(sp)
+    s = random_subspace(sp, rng, *choices[int(rng.integers(len(choices)))])
+    assert not s.classification.regular
+    q = k.normal_projection(s).op
+    adj = q.adjoint()
+    bound = sp.tol.num * cond * max(1.0, q.norm())
+    assert (q @ q - q).norm() <= bound * max(1.0, q.norm())
+    assert (q @ adj - adj @ q).norm() <= bound * max(1.0, q.norm())
+    # the rank of an idempotent is its trace: a roundoff singular value of order
+    # eps cond(G) ||Q|| can survive the default rank cutoff
+    assert round(q.matrix.trace().real) == s.dim
+    assert k.subspace_equal(k.range_of(q, rank=s.dim), s)
+    assert np.linalg.norm(q.matrix - _companion_construction(s), 2) <= bound
+    # [J x, y] = <x, y> = 0 for x in S^o, y in S_reg, at the roundoff of the product
+    reg, iso = regular_part(s).basis, isotropic_part(s).basis
+    cross = reg.conj().T @ sp.gram @ (sp.j @ iso)
+    scale = np.linalg.norm(reg, 2) * sp.gram_norm * np.linalg.norm(iso, 2)
+    assert np.linalg.norm(cross, 2) <= 8 * sp.dim * np.finfo(float).eps * scale
 
 
 def test_companion_identity_membership(m4):
