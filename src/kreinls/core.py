@@ -26,6 +26,7 @@ from .errors import (
 )
 
 _EPS = float(np.finfo(float).eps)
+ANGLE_TOL = 1e-8  # the largest principal angle between a subspace and one containing it
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +587,7 @@ def orthogonal_companion(s):
     """S^[⊥] = null(basis* G); dim = n - dim S.
 
     With a kept metric complement S^⊥, S^[⊥] = J S^⊥, made G-orthogonal to the
-    stored basis by one Gram-Schmidt pass; otherwise by SVD, canonicalized.
+    stored basis by one Gram-Schmidt pass; otherwise R^-1 null(frame R^-1), one SVD.
     """
     sp = s.space
     complement = getattr(s, "_complement", None)
@@ -594,7 +595,8 @@ def orthogonal_companion(s):
         c = sp._chol_rinv @ (sp._j_frame @ complement)
         c -= (sp.j @ s.basis) @ (s.frame @ c)
         return _subspace_direct(sp, c)
-    return subspace_from_spanning(sp, nullspace_matrix(sp, s.basis.conj().T @ sp.gram))
+    _, _, vh = np.linalg.svd(s.frame @ sp._chol_rinv)  # of rank dim S: G is invertible
+    return _subspace_direct(sp, sp._chol_rinv @ vh[s.dim :].conj().T)
 
 
 def range_of(t, rank=None):
@@ -691,17 +693,17 @@ def principal_angles(s1, s2):
     return np.sort(np.arctan2(sin, cos))
 
 
-def subspace_equal(s1, s2, angle_tol=1e-8):
-    return s1.dim == s2.dim and subspace_within(s1, s2, angle_tol)
+def subspace_equal(s1, s2):
+    return s1.dim == s2.dim and subspace_within(s1, s2)
 
 
-def subspace_within(inner, outer, angle_tol=1e-8):
+def subspace_within(inner, outer):
     """inner ⊆ outer decided by principal angles."""
     if inner.dim == 0:
         return True
     if inner.dim > outer.dim:
         return False
-    return bool(np.max(principal_angles(inner, outer)) <= angle_tol)
+    return bool(np.max(principal_angles(inner, outer)) <= ANGLE_TOL)
 
 
 def contains_columns(s, columns):

@@ -1,15 +1,13 @@
 """Indefinite inverses and operator least squares in the Krein order.
 
-Solvers report rather than raise: a SolveReport carries feasibility, the
-violated condition names when infeasible, the particular solution plus the
-admissible perturbation space when feasible, and the attained value
-operator. The value and the residual certificates, cross-checks of that
-answer, are computed the first time they are read and then kept. The particular
-solution is always the minimum Hilbert-Frobenius-norm solution of the normal
-equation B#(BX - C) = 0, which reduces to the classical least-squares choice
-when G = I. No solver forms
-B#B, whose zero part is roundoff: X0 and N(B#B) come from the kept range
-analysis (core.NormalEquation).
+Each solver is a row of one problem table (Problem), answered by one body,
+solve_problem, in the paper's shape: solvability conditions, each with the
+reason a report prints when it fails; then the particular solution, the
+perturbation space and the attained value; then certificates, cross-checks of
+that answer formed on first read, as the value is. The particular solution is
+the minimum Hilbert-Frobenius-norm solution of the normal equation
+B#(BX - C) = 0, read off the kept range analysis (core.NormalEquation): no
+solver forms B#B, whose zero part is roundoff.
 """
 
 import functools
@@ -35,15 +33,9 @@ from .core import (
 from .oracle import certify_min
 from .projections import normal_projection, selfadjoint_projection
 
-REASON_NOT_REGULAR = "RangeNotRegular"
-REASON_NOT_NONNEGATIVE = "RangeNotNonnegative"
-REASON_NOT_NONPOSITIVE = "RangeNotNonpositive"
-REASON_INCLUSION = "RangeInclusionFails"
-REASON_ZERO_OPERATOR = "ZeroOperator"
-
 
 # ---------------------------------------------------------------------------
-# result types
+# reports and the problem table
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -100,8 +92,24 @@ class SolveReport:
     certificates = property(lambda self: self._certified[1])
 
 
-def _no_certificates():
-    """The certificate builder of a report that has none."""
+@dataclass(frozen=True)
+class Problem:
+    """One row of the problem table.
+
+    conditions  (report name, reason, test(b, c)), in report order
+    solve       (b, c) -> (particular solution, perturbation space, value builder or None)
+    certify     (b, c, particular, value builder, seed) -> (residual_normal_eq, certificates)
+    refuted     (b, c) -> the same pair for an infeasible report, if it has any
+    """
+
+    conditions: tuple
+    solve: object
+    certify: object
+    refuted: object = None
+
+
+def _no_certificates(*_):
+    """The certificates of a report that has none."""
     return 0.0, {}
 
 
@@ -110,20 +118,20 @@ def _no_value():
     return None
 
 
-def _kept(build, *args):
-    """A zero-argument builder of build(*args) that runs it at most once, so a
-    report and its certificate builder share one value."""
-    return functools.cache(functools.partial(build, *args))
+def solve_problem(problem, b, c, seed=0):
+    """Decide every condition (none short-circuits), join the failed ones' reasons by "+",
+    and keep the value builder once: a report and its certificates share one value."""
+    conditions = {name: test(b, c) for name, _, test in problem.conditions}
+    reason = "+".join(why for name, why, _ in problem.conditions if not conditions[name])
+    if reason:
+        refuted = functools.partial(problem.refuted or _no_certificates, b, c)
+        return SolveReport(False, reason, conditions, None, _no_value, refuted, seed)
+    x0, perturbation, value = problem.solve(b, c)
+    value = functools.cache(value or _no_value)
+    certify = functools.partial(problem.certify, b, c, x0, value, seed)
+    manifold = SolutionManifold(x0, perturbation)
+    return SolveReport(True, None, conditions, manifold, value, certify, seed)
 
-
-def _join_reasons(checks):
-    failed = [reason for ok, reason in checks if not ok]
-    return "+".join(failed) if failed else None
-
-
-# ---------------------------------------------------------------------------
-# shared solver pieces
-# ---------------------------------------------------------------------------
 
 def normal_equation_solution(b, c, metric=None):
     """Minimum-norm solution X0 = R^-1 (K R^-1)^+ U_reg* G C of B#(BX - C) = 0.
@@ -141,17 +149,18 @@ def normal_equation_solution(b, c, metric=None):
     return Operator(b.space, x0)
 
 
-def _square(r):
-    """R#R."""
+def krein_square(r):
+    """R#R: the value at a residual R, and X#X for the minimal-X#X problem."""
     return r.adjoint() @ r
 
 
 def _attained_value(b, x, c):
     """The value R#R at the residual R = BX - C."""
-    return _square(b @ x - c)
+    return krein_square(b @ x - c)
 
 
-def _value_spectrum(value):
+def value_spectrum(value):
+    """The eigenvalues of G V for a value V."""
     return np.linalg.eigvalsh(herm(value.space.gram @ value.matrix))
 
 
@@ -160,16 +169,36 @@ def _value_formula_residual(value, c, q):
     return (value - closed).norm() / max(1.0, value.norm())
 
 
-def _extremal_certificates(b, c, x0, value, inclusion):
-    """Closed-form cross-checks of a min/max report, with its normal-equation residual;
-    value is the report's kept value builder."""
+def _normal_equation_answer(b, c):
+    """X0 from the kept normal equation, N(B#B), and the value at X0."""
+    x0 = normal_equation_solution(b, c)
+    return x0, normal_nullspace(b), functools.partial(_attained_value, b, x0, c)
+
+
+def has_sign(subspace, sign):
+    """The test that subspace(B) is `sign` ("regular", ...) by its kept classification."""
+    return lambda b, c: getattr(subspace(b).classification, sign)
+
+
+RANGE_INCLUSION = (
+    "range_inclusion",
+    "RangeInclusionFails",
+    lambda b, c: sum_with_companion_contains(range_of(b), c),
+)
+RANGE_REGULAR = ("range_regular", "RangeNotRegular", has_sign(range_of, "regular"))
+RANGE_NONNEGATIVE = ("range_nonnegative", "RangeNotNonnegative", has_sign(range_of, "nonnegative"))
+RANGE_NONPOSITIVE = ("range_nonpositive", "RangeNotNonpositive", has_sign(range_of, "nonpositive"))
+
+
+def _extremal_certificates(b, c, x0, value, seed):
+    """Closed-form cross-checks of a min/max report, with its normal-equation residual."""
     value = value()
-    certs = {"value_spectrum": _value_spectrum(value)}
+    certs = {"value_spectrum": value_spectrum(value)}
     range_sub = range_of(b)
     regular = range_sub.classification.regular
     if not regular:
         # R(B) + R(B)^[⊥] is the isotropic part's companion: the feasibility condition
-        certs["isotropic_companion_contains_rhs"] = inclusion
+        certs["isotropic_companion_contains_rhs"] = sum_with_companion_contains(range_sub, c)
     q = normal_projection(range_sub).op
     certs["value_formula_residual"] = _value_formula_residual(value, c, q)
     if not regular:
@@ -179,41 +208,36 @@ def _extremal_certificates(b, c, x0, value, inclusion):
     return (b.adjoint() @ (b @ x0 - c)).norm(), certs
 
 
-def _solve_extremal(b, c, sign_condition, sign_reason, seed):
-    """Common body of solve_ims / solve_imax; zero B and C are exact tests on the entries."""
-    sp = b.space
-    if not b.matrix.any():
-        # zero operator contract: solvable only against a zero right-hand side
-        conditions = {"zero_operator": True, "rhs_zero": not c.matrix.any()}
-        if conditions["rhs_zero"]:
-            manifold = SolutionManifold(sp.zero(), full_subspace(sp))
-            return SolveReport(True, None, conditions, manifold, sp.zero, _no_certificates, seed)
-        return SolveReport(
-            False, REASON_ZERO_OPERATOR, conditions, None, _no_value, _no_certificates, seed
-        )
+MINIMUM = Problem(
+    (RANGE_INCLUSION, RANGE_NONNEGATIVE), _normal_equation_answer, _extremal_certificates
+)
+MAXIMUM = Problem(
+    (RANGE_INCLUSION, RANGE_NONPOSITIVE), _normal_equation_answer, _extremal_certificates
+)
+# the min and max problems of B = 0 (an exact test on the entries): solved by every X iff C = 0
+ZERO_OPERATOR = Problem(
+    (
+        ("zero_operator", None, lambda b, c: not b.matrix.any()),  # holds: the row is chosen on it
+        ("rhs_zero", "ZeroOperator", lambda b, c: not c.matrix.any()),
+    ),
+    lambda b, c: (b.space.zero(), full_subspace(b.space), b.space.zero),
+    _no_certificates,
+)
 
+
+def _stationary_certificates(b, c, x0, value, seed):
+    """The value spectrum, and on a regular range the closed forms of Q; the residual."""
+    value = value()
+    certs = {"value_spectrum": value_spectrum(value)}
     range_sub = range_of(b)
-    inclusion = sum_with_companion_contains(range_sub, c)
-    sign_ok = sign_condition(range_sub.classification)
-    conditions = {"range_inclusion": inclusion, sign_reason[0]: sign_ok}
-    reason = _join_reasons([(inclusion, REASON_INCLUSION), (sign_ok, sign_reason[1])])
-    if reason is not None:
-        return SolveReport(False, reason, conditions, None, _no_value, _no_certificates, seed)
-
-    x0 = normal_equation_solution(b, c)
-    value = _kept(_attained_value, b, x0, c)
-    manifold = SolutionManifold(x0, normal_nullspace(b))
-    certify = functools.partial(_extremal_certificates, b, c, x0, value, inclusion)
-    return SolveReport(True, None, conditions, manifold, value, certify, seed)
+    if range_sub.classification.regular:
+        q = selfadjoint_projection(range_sub).op
+        certs["value_formula_residual"] = _value_formula_residual(value, c, q)
+        certs["projected_equation_residual"] = (b @ x0 - q @ c).norm()
+    return (b.adjoint() @ (b @ x0 - c)).norm(), certs
 
 
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-def has_indefinite_inverse(b):
-    """B#(BX - I) = 0 is solvable exactly when R(B) is regular."""
-    return range_of(b).classification.regular
+STATIONARY = Problem((RANGE_INCLUSION,), _normal_equation_answer, _stationary_certificates)
 
 
 def regular_range_rank_check(b):
@@ -227,49 +251,41 @@ def regular_range_rank_check(b):
     return sp.rank(unit.adjoint().matrix) == sp.rank((unit.adjoint() @ unit).matrix)
 
 
-def _inverse_certificates(b, q, x0):
+def _inverse_answer(b, c):
+    """X0 = B+ Q for the selfadjoint projection Q onto R(B), N(B), and the value; C = I."""
+    q = selfadjoint_projection(range_of(b)).op
+    left, right = pseudo_inverse_factors(b)
+    x0 = Operator(b.space, left @ (right @ q.matrix), _copy=False)
+    return x0, nullspace_of(b), functools.partial(_attained_value, b, x0, c)
+
+
+def _inverse_certificates(b, c, x0=None, value=None, seed=None):
     """The rank remark, and for a feasible report the identities of BX0 and its residual."""
     certs = {"regularity_rank_remark": regular_range_rank_check(b)}
     if x0 is None:
         return 0.0, certs
     bx = b @ x0
-    residual = (b.adjoint() @ (bx - b.space.eye())).norm()
     certs["inner_inverse_residual"] = (bx @ b - b).norm()
     certs["projection_selfadjoint_residual"] = (bx.adjoint() - bx).norm()
-    certs["projection_match_residual"] = (bx - q).norm()
-    return residual, certs
+    certs["projection_match_residual"] = (bx - selfadjoint_projection(range_of(b)).op).norm()
+    return (b.adjoint() @ (bx - c)).norm(), certs
+
+
+INVERSE = Problem((RANGE_REGULAR,), _inverse_answer, _inverse_certificates, _inverse_certificates)
+
+
+# ---------------------------------------------------------------------------
+# public operations
+# ---------------------------------------------------------------------------
+
+def has_indefinite_inverse(b):
+    """B#(BX - I) = 0 is solvable exactly when R(B) is regular."""
+    return range_of(b).classification.regular
 
 
 def indefinite_inverse(b, seed=0):
     """Solve B#(BX - I) = 0; solutions are X0 + {Y : R(Y) ⊆ N(B)}."""
-    sp = b.space
-    range_sub = range_of(b)
-    regular = range_sub.classification.regular
-    conditions = {"range_regular": regular}
-    if not regular:
-        certify = functools.partial(_inverse_certificates, b, None, None)
-        return SolveReport(False, REASON_NOT_REGULAR, conditions, None, _no_value, certify, seed)
-
-    q = selfadjoint_projection(range_sub).op
-    left, right = pseudo_inverse_factors(b)
-    x0 = Operator(sp, left @ (right @ q.matrix), _copy=False)
-    manifold = SolutionManifold(x0, nullspace_of(b))
-    value = _kept(_attained_value, b, x0, sp.eye())
-    certify = functools.partial(_inverse_certificates, b, q, x0)
-    return SolveReport(True, None, conditions, manifold, value, certify, seed)
-
-
-def _stationary_certificates(b, c, x0, value):
-    """The value spectrum, and on a regular range the closed forms of Q; the residual.
-    value is the report's kept value builder."""
-    value = value()
-    certs = {"value_spectrum": _value_spectrum(value)}
-    range_sub = range_of(b)
-    if range_sub.classification.regular:
-        q = selfadjoint_projection(range_sub).op
-        certs["value_formula_residual"] = _value_formula_residual(value, c, q)
-        certs["projected_equation_residual"] = (b @ x0 - q @ c).norm()
-    return (b.adjoint() @ (b @ x0 - c)).norm(), certs
+    return solve_problem(INVERSE, b, b.space.eye(), seed)
 
 
 def indefinite_inverse_in_range(b, c, seed=0):
@@ -278,18 +294,7 @@ def indefinite_inverse_in_range(b, c, seed=0):
     Feasible iff R(C) ⊆ R(B) + R(B)^[⊥] = (R(B) ∩ R(B)^[⊥])^[⊥], i.e. iff C is
     Krein-orthogonal to the isotropic part of R(B). X0 is the min-max Z1 part.
     """
-    inclusion = sum_with_companion_contains(range_of(b), c)
-    conditions = {"range_inclusion": inclusion}
-    if not inclusion:
-        return SolveReport(
-            False, REASON_INCLUSION, conditions, None, _no_value, _no_certificates, seed
-        )
-
-    x0 = normal_equation_solution(b, c)
-    value = _kept(_attained_value, b, x0, c)
-    manifold = SolutionManifold(x0, normal_nullspace(b))
-    certify = functools.partial(_stationary_certificates, b, c, x0, value)
-    return SolveReport(True, None, conditions, manifold, value, certify, seed)
+    return solve_problem(STATIONARY, b, c, seed)
 
 
 def solve_ims(b, c, seed=0):
@@ -300,16 +305,12 @@ def solve_ims(b, c, seed=0):
     value matches C#(I-Q)C whenever the closed form applies (selfadjoint Q
     for regular ranges, any normal Q for degenerate nonnegative ones).
     """
-    return _solve_extremal(
-        b, c, lambda cls: cls.nonnegative, ("range_nonnegative", REASON_NOT_NONNEGATIVE), seed
-    )
+    return solve_problem(ZERO_OPERATOR if not b.matrix.any() else MINIMUM, b, c, seed)
 
 
 def solve_imax(b, c, seed=0):
     """Maximum counterpart of solve_ims: R(B) must be nonpositive."""
-    return _solve_extremal(
-        b, c, lambda cls: cls.nonpositive, ("range_nonpositive", REASON_NOT_NONPOSITIVE), seed
-    )
+    return solve_problem(ZERO_OPERATOR if not b.matrix.any() else MAXIMUM, b, c, seed)
 
 
 def verify_ims(x, b, c, trials=200, seed=0):

@@ -21,7 +21,7 @@ from .core import (
     sum_with_companion_contains,
 )
 from .errors import InfeasibleInstance, SpaceMismatch
-from .ils import indefinite_inverse_in_range, normal_equation_solution
+from .ils import indefinite_inverse_in_range, krein_square, normal_equation_solution
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,7 @@ def minmax_value_identity(b, c):
     split = split_operator(b)
 
     def attained(x, y):
-        r = split.b_plus @ x + split.b_minus @ y - c
-        return r.adjoint() @ r
+        return krein_square(split.b_plus @ x + split.b_minus @ y - c)
 
     # max over Y of (min over X): the inner minimizer does not depend on Y
     x0 = normal_equation_solution(split.b_plus, c)

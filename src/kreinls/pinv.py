@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import (
     Operator,
-    classify,
     herm,
     hilbert_pinv,
     isotropic_part,
@@ -36,14 +35,15 @@ from .core import (
 )
 from .errors import BadProjection
 from .ils import (
-    SolutionManifold,
+    RANGE_NONNEGATIVE,
+    RANGE_REGULAR,
+    Problem,
     SolveReport,
-    _join_reasons,
-    _kept,
-    _no_certificates,
-    _no_value,
-    _square,
+    has_sign,
+    krein_square,
     normal_equation_solution,
+    solve_problem,
+    value_spectrum,
 )
 from .projections import (
     Projection,
@@ -141,12 +141,12 @@ def canonical_pair(b):
     return _pair_inverse(b, normal_projection(range_of(b)), normal_projection(nullspace_of(b)))
 
 
-def _moore_penrose_certificates(b, seed):
+def _moore_penrose_certificates(b, c, bdag, value, seed):
     """The four defining identities of B† = canonical_pair(b).d, the projection
     matches, and the uniqueness rebuild; the residual is identity_bdb."""
     sp = b.space
     pair = canonical_pair(b)
-    q, p_prime, bdag = pair.q.op, sp.eye() - pair.p.op, pair.d
+    q, p_prime = pair.q.op, sp.eye() - pair.p.op
 
     bd = b @ bdag
     db = bdag @ b
@@ -169,6 +169,17 @@ def _moore_penrose_certificates(b, seed):
     return certs["identity_bdb"], certs
 
 
+# regular R(B) and N(B): the canonical normal projections are selfadjoint, D is B†
+MOORE_PENROSE = Problem(
+    (
+        RANGE_REGULAR,
+        ("nullspace_regular", "NullspaceNotRegular", has_sign(nullspace_of, "regular")),
+    ),
+    lambda b, c: (canonical_pair(b).d, zero_subspace(b.space), None),
+    _moore_penrose_certificates,
+)
+
+
 def krein_moore_penrose(b, seed=0):
     """B† = P' Btilde Q with selfadjoint Q onto R(B), P' = I - P onto N(B)^[⊥].
 
@@ -177,18 +188,7 @@ def krein_moore_penrose(b, seed=0):
     uniqueness check that rebuilds B† from a {1,2}-inverse taken in a
     randomly perturbed positive metric.
     """
-    sp = b.space
-    range_reg = classify(range_of(b)).regular
-    null_reg = classify(nullspace_of(b)).regular
-    conditions = {"range_regular": range_reg, "nullspace_regular": null_reg}
-    reason = _join_reasons([(range_reg, "RangeNotRegular"), (null_reg, "NullspaceNotRegular")])
-    if reason is not None:
-        return SolveReport(False, reason, conditions, None, _no_value, _no_certificates, seed)
-
-    # regular R(B) and N(B): the canonical normal projections are selfadjoint
-    manifold = SolutionManifold(canonical_pair(b).d, zero_subspace(sp))
-    certify = functools.partial(_moore_penrose_certificates, b, seed)
-    return SolveReport(True, None, conditions, manifold, _no_value, certify, seed)
+    return solve_problem(MOORE_PENROSE, b, None, seed)
 
 
 def reduced_generalized_inverse(b, q, p_prime):
@@ -235,19 +235,42 @@ def _min_norm_unreachable(b):
     return basis.conj().T @ b.space.gram
 
 
-def _min_norm_certificates(b, c, x1, value):
-    """R(X1) ⊆ N(B#B)^[⊥], the value's spectrum and X1 = DC; the normal-equation residual.
-    value is the report's kept value builder."""
-    value = value()
+def _min_norm_answer(b, c):
+    """X1 = (I - P')X0 for P' the normal projection onto N(B#B), its isotropic part, X1#X1."""
+    null_bb = normal_nullspace(b)
+    x1 = (b.space.eye() - normal_projection(null_bb).op) @ normal_equation_solution(b, c)
+    return x1, isotropic_part(null_bb), functools.partial(krein_square, x1)
+
+
+def _min_norm_certificates(b, c, x1, value, seed):
+    """R(X1) ⊆ N(B#B)^[⊥], the value's spectrum and X1 = DC; the normal-equation residual."""
     residual = (b.adjoint() @ (b @ x1 - c)).norm()
     certs = {
         "range_constraint": subspace_within(
             range_of(x1), orthogonal_companion(normal_nullspace(b))
         ),
-        "value_spectrum": np.linalg.eigvalsh(herm(b.space.gram @ value.matrix)),
+        "value_spectrum": value_spectrum(value()),
         "ims_consistency": (_min_norm_inverse(b) @ c - x1).norm() / max(1.0, x1.norm()),
     }
     return residual, certs
+
+
+NULLSPACE_NONNEGATIVE = (
+    "nullspace_nonnegative", "NullspaceNotNonnegative", has_sign(normal_nullspace, "nonnegative")
+)
+MIN_NORM = Problem(
+    (
+        RANGE_NONNEGATIVE,
+        NULLSPACE_NONNEGATIVE,
+        (
+            "range_inclusion",
+            "RangeInclusionFails",
+            lambda b, c: krein_orthogonal(_min_norm_unreachable(b), c),
+        ),
+    ),
+    _min_norm_answer,
+    _min_norm_certificates,
+)
 
 
 def solve_min_ims_norm(b, c, seed=0):
@@ -259,32 +282,7 @@ def solve_min_ims_norm(b, c, seed=0):
     the canonical normal projection P' onto N(B#B); the ims_consistency
     certificate compares it with DC for the reduced generalized inverse D.
     """
-    sp = b.space
-    null_bb = normal_nullspace(b)
-    range_ok = range_of(b).classification.nonnegative
-    null_ok = null_bb.classification.nonnegative
-    inclusion = krein_orthogonal(_min_norm_unreachable(b), c)
-    conditions = {
-        "range_nonnegative": range_ok,
-        "nullspace_nonnegative": null_ok,
-        "range_inclusion": inclusion,
-    }
-    reason = _join_reasons(
-        [
-            (range_ok, "RangeNotNonnegative"),
-            (null_ok, "NullspaceNotNonnegative"),
-            (inclusion, "RangeInclusionFails"),
-        ]
-    )
-    if reason is not None:
-        return SolveReport(False, reason, conditions, None, _no_value, _no_certificates, seed)
-
-    p_prime = normal_projection(null_bb).op
-    x1 = (sp.eye() - p_prime) @ normal_equation_solution(b, c)
-    value = _kept(_square, x1)
-    manifold = SolutionManifold(x1, isotropic_part(null_bb))
-    certify = functools.partial(_min_norm_certificates, b, c, x1, value)
-    return SolveReport(True, None, conditions, manifold, value, certify, seed)
+    return solve_problem(MIN_NORM, b, c, seed)
 
 
 def _variational_certificates(b, mp, mn, agree, solvable, seed):
@@ -319,11 +317,10 @@ def mp_variational_check(b, seed=0):
     nonnegative) must agree; when they all hold, the variational solution,
     B†, and B†C for random C are cross-checked for equality and uniqueness.
     """
-    sp = b.space
-    r_cls = classify(range_of(b))
-    n_cls = classify(nullspace_of(b))
+    r_cls = range_of(b).classification
+    n_cls = nullspace_of(b).classification
     mp = krein_moore_penrose(b, seed=seed)
-    mn = solve_min_ims_norm(b, sp.eye(), seed=seed)
+    mn = solve_min_ims_norm(b, b.space.eye(), seed=seed)
 
     cond_min = mn.feasible
     cond_unif = r_cls.uniformly_positive and n_cls.uniformly_positive

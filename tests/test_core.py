@@ -322,6 +322,20 @@ def test_companion_of_zero_and_full(m4):
     assert k.orthogonal_companion(k.full_subspace(m4)).dim == 0
 
 
+def test_companion_of_a_spanned_subspace_runs_one_svd(monkeypatch):
+    """With no kept metric complement, a degenerate subspace finds its companion
+    by one SVD, whose columns are metric-orthonormal and G-orthogonal to it."""
+    sp = make_signature_space(6, 6, seed=3)
+    sub = random_subspace(sp, np.random.default_rng(38), 3, 2, 2)
+    counts = _count_factorizations(monkeypatch)
+    comp = k.orthogonal_companion(sub)
+    assert dict(counts) == {"svd": 1}
+    assert comp.dim == sp.dim - sub.dim
+    gram_m = comp.basis.conj().T @ sp.metric @ comp.basis
+    assert np.linalg.norm(gram_m - np.eye(comp.dim)) < 1e-12
+    assert np.linalg.norm(sub.basis.conj().T @ sp.gram @ comp.basis) < 1e-12
+
+
 def test_principal_angles_limits(m4):
     e12 = k.subspace_from_spanning(m4, np.eye(4, 2))
     e34 = k.subspace_from_spanning(m4, np.eye(4)[:, 2:])
