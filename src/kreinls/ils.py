@@ -196,9 +196,6 @@ def _extremal_certificates(b, c, x0, value, seed):
     certs = {"value_spectrum": value_spectrum(value)}
     range_sub = range_of(b)
     regular = range_sub.classification.regular
-    if not regular:
-        # R(B) + R(B)^[⊥] is the isotropic part's companion: the feasibility condition
-        certs["isotropic_companion_contains_rhs"] = sum_with_companion_contains(range_sub, c)
     q = normal_projection(range_sub).op
     certs["value_formula_residual"] = _value_formula_residual(value, c, q)
     if not regular:

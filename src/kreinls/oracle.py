@@ -76,7 +76,13 @@ def certify_min(b, c, x0, trials=1000, seed=0):
     Competitors come in chunks of stacked (T, n, n) arrays: chunks start at
     one trial and double, up to 2^16 matrix entries per stack. A chunk takes
     one rng call per draw, in the order Gaussian stack, bump positions, bump
-    values, tangent coefficients, and one batched eigvalsh. A competitor
+    values, tangent coefficients, and one batched eigvalsh. The values are
+    formed in row form, R* = X* B* - C*: the rows of every X_t* stacked into
+    one (T n, n) matrix times B*, those rows times G, then (R* G)_t R_t
+    batched. A gemm with a fixed right factor gives each row the bits it has
+    in its own n x n product, so a chunk's values equal those of one
+    competitor evaluated at a time (tests/test_oracle.py checks this; the
+    wide form B [X_1 | ... | X_T] moves the last bits). A competitor
     fails when its smallest eigenvalue is below -tol.num times the larger of
     its largest |eigenvalue| and the floor ||G|| (||B|| ||X0|| + ||C||)^2,
     which is of degree 2 in (B, C) like the values, so scaling B and C
@@ -104,31 +110,37 @@ def certify_min(b, c, x0, trials=1000, seed=0):
     kernel = nullspace_matrix(sp, unit.conj().T @ g @ unit)
     cap = max(1, _CHUNK_ENTRIES // (n * n))
 
-    def gaussian(shape):
-        z = rng.standard_normal((2, *shape))
-        return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    def gaussian(out):
+        out.real, out.imag = rng.standard_normal((2, *out.shape))
+        out /= np.sqrt(2.0)
+        return out
 
+    bh, ch = bm.conj().T, cm.conj().T
     min_seen = np.inf
     done = 0
     size = 1
     while done < trials:
         count = min(size, cap, trials - done)
-        mode = np.arange(done, done + count) % 3
         xs = np.empty((count, n, n), dtype=complex)
-        xs[mode == 0] = gaussian((np.count_nonzero(mode == 0), n, n))
-        bumped = np.flatnonzero(mode == 1)
-        rows, cols = rng.integers(n, size=(2, bumped.size))
-        xs[bumped] = x0m
-        xs[bumped, rows, cols] += gaussian((bumped.size,))
-        xs[mode == 2] = x0m + kernel @ gaussian((np.count_nonzero(mode == 2), kernel.shape[1], n))
-        r = bm @ xs - cm
-        gd = herm(r.conj().swapaxes(-1, -2) @ g @ r) - v0
+        drawn, bumped, tangent = (xs[(mode - done) % 3 :: 3] for mode in range(3))
+        gaussian(drawn)
+        rows, cols = rng.integers(n, size=(2, len(bumped)))
+        bumped[...] = x0m
+        bumped[np.arange(len(bumped)), rows, cols] += gaussian(np.empty(len(bumped), complex))
+        coef = gaussian(np.empty((len(tangent), kernel.shape[1], n), complex))
+        tangent[...] = x0m + kernel @ coef
+        # row form (see above): each row keeps the bits of its own n x n product
+        rh = (xs.conj().swapaxes(1, 2).reshape(-1, n) @ bh).reshape(count, n, n) - ch
+        gd = (rh.reshape(-1, n) @ g).reshape(count, n, n) @ rh.conj().swapaxes(1, 2)
+        gd += gd.conj().swapaxes(1, 2)
+        gd /= 2.0
+        gd -= v0
         # LAPACK fails on a NaN anywhere in the stack; zero those entries
         # so that a failure before them is still the one reported
         finite = np.isfinite(gd).all(axis=(1, 2)) & np.isfinite(floor)
         gd[~finite] = 0.0
         lam = np.linalg.eigvalsh(gd)
-        scale = np.maximum(np.abs(lam).max(axis=1), floor)  # max |λ| = ||G Δ||
+        scale = np.maximum(np.maximum(-lam[:, 0], lam[:, -1]), floor)  # max |λ| = ||G Δ||
         failed = np.flatnonzero(~finite | (lam[:, 0] < -sp.tol.num * scale))
         if failed.size:
             i = int(failed[0])

@@ -126,7 +126,6 @@ def test_ims_neutral_range_consistent(m2):
     assert rep.feasible
     assert rep.value.norm() < 1e-12
     assert rep.manifold.perturbation_space.dim == 2
-    assert rep.certificates["isotropic_companion_contains_rhs"]
     assert rep.certificates["isotropic_containment"]
 
 

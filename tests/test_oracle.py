@@ -7,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kreinls as k
 from conftest import cli_env, gaussian
 from kreinls import matio
 from kreinls.core import herm, nullspace_matrix, scaled_to_unit
-from kreinls.oracle import Certificate
+from kreinls.oracle import _CHUNK_ENTRIES, Certificate
+from test_analysis import _count_factorizations
 
 
 def test_positivity_fixtures(m2):
@@ -124,8 +127,8 @@ def _certify_min_loop(b, c, x0, trials=1000, seed=0):
         done += count
         size *= 2
     for trial, x in enumerate(competitors):
-        r = b.matrix @ x - c.matrix
-        lam = np.linalg.eigvalsh(herm(r.conj().T @ g @ r) - v0)
+        rh = x.conj().T @ b.matrix.conj().T - c.matrix.conj().T
+        lam = np.linalg.eigvalsh(herm(rh @ g @ rh.conj().T) - v0)
         min_seen = min(min_seen, lam[0])
         if lam[0] < -sp.tol.num * max(-lam[0], lam[-1], floor):
             return Certificate(False, x, trial + 1, float(lam[0]))
@@ -184,6 +187,10 @@ def test_certify_min_matches_per_trial_reference(args, trials, outcome):
         assert ref.verdict and ref.trials == trials
     else:
         assert not ref.verdict and ref.trials == outcome
+    _assert_same_certificate(got, ref)
+
+
+def _assert_same_certificate(got, ref):
     assert got.verdict == ref.verdict
     assert got.trials == ref.trials
     assert got.min_eigen_seen == ref.min_eigen_seen
@@ -191,6 +198,71 @@ def test_certify_min_matches_per_trial_reference(args, trials, outcome):
         assert got.witness is None
     else:
         assert np.array_equal(got.witness, ref.witness)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_row_form_products_match_per_matrix_products(n):
+    """What certify_min's exactness rests on: a gemm of row-stacked n x n
+    matrices by a fixed right factor, and numpy's batched product, give every
+    matrix the bits of its own n x n product, for every chunk size up to the cap.
+
+    If this fails, the BLAS build rounds a row differently with the stack
+    height, and certify_min no longer equals the per-trial reference."""
+    cap = max(1, _CHUNK_ENTRIES // (n * n))
+    rng = np.random.default_rng(n)
+    xs, ps = gaussian(rng, (2, cap, n, n))
+    f = gaussian(rng, (n, n))
+    sizes = {*range(1, 65), 489, cap, *(2**e + d for e in range(17) for d in (-1, 0, 1))}
+    for right in (f, f.conj().T):  # G as stored, and B* as a transposed view
+        alone = np.array([x.conj().T @ right for x in xs])
+        for count in sorted(t for t in sizes if 1 <= t <= cap):
+            rows = (xs[:count].conj().swapaxes(1, 2).reshape(-1, n) @ right).reshape(count, n, n)
+            assert np.array_equal(rows, alone[:count]), ("row-stacked gemm", n, count)
+    alone = np.array([p @ x.conj().T for p, x in zip(ps, xs)])
+    for count in sorted(t for t in sizes if 1 <= t <= cap):
+        batched = ps[:count] @ xs[:count].conj().swapaxes(1, 2)
+        assert np.array_equal(batched, alone[:count]), ("batched product", n, count)
+
+
+# trial counts at the chunk boundaries 2^j - 1 and one either side (no cap binds at n <= 6)
+_BOUNDARY_TRIALS = sorted({max(0, 2**j - 1 + d) for j in range(11) for d in (-1, 0, 1)})
+
+
+@st.composite
+def _oracle_cases(draw):
+    n = draw(st.integers(1, 6))
+    # solve_ims is feasible for B != 0 in a positive definite space; a Gaussian
+    # X0 mostly fails at the first trial, so it gets one draw in four
+    solve = draw(st.integers(0, 3)) > 0
+    args = (
+        draw(st.integers(0, 2**20)),
+        n,
+        n if solve else draw(st.integers(0, n)),
+        draw(st.floats(0.0, 3.0)),
+        draw(st.one_of(st.none(), st.integers(int(solve), n))),
+        solve,
+        draw(st.one_of(st.just(0.0), st.floats(-6.0, 1.0).map(lambda e: 10.0**e))),
+    )
+    return args, draw(st.sampled_from(_BOUNDARY_TRIALS)), draw(st.integers(0, 2**20))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_oracle_cases())
+def test_certify_min_equals_per_trial_reference(case):
+    args, trials, seed = case
+    b, c, x0 = _oracle_instance(*args)
+    ref = _certify_min_loop(b, c, x0, trials=trials, seed=seed)
+    _assert_same_certificate(k.certify_min(b, c, x0, trials=trials, seed=seed), ref)
+
+
+def test_certify_min_runs_one_eigvalsh_per_chunk(monkeypatch):
+    """A 1000-trial accept at n = 3: chunks of 1, 2, ..., 256 and 489 trials, one
+    eigvalsh each, after the prologue's three norms and the SVD of U* G U."""
+    b, c, x0 = _oracle_instance(1, 3, 3, 0.0, 2, True)
+    b, c, x0 = (b.space.operator(t.matrix) for t in (b, c, x0))  # nothing kept yet
+    counts = _count_factorizations(monkeypatch)
+    assert k.certify_min(b, c, x0, trials=1000).verdict
+    assert counts == {"eigvalsh": 10, "norm2": 3, "svd": 1}
 
 
 @pytest.mark.parametrize("args,trials,outcome", ORACLE_REFERENCE_CASES, ids=_REFERENCE_IDS)
