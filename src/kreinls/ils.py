@@ -27,7 +27,6 @@ from .core import (
     pseudo_inverse_factors,
     range_of,
     scaled_to_unit,
-    subspace_within,
     sum_with_companion_contains,
 )
 from .oracle import certify_min
@@ -198,9 +197,13 @@ def _extremal_certificates(b, c, x0, value, seed):
     regular = range_sub.classification.regular
     q = normal_projection(range_sub).op
     certs["value_formula_residual"] = _value_formula_residual(value, c, q)
-    if not regular:
-        certs["isotropic_containment"] = subspace_within(
-            range_of(b @ x0 - q @ c), isotropic_part(range_sub)
+    if not regular:  # Y = BX0 - QC lies in S^o: (I - S^o S^o* M) Y is roundoff
+        y, iso = (b @ x0 - q @ c).matrix, isotropic_part(range_sub).basis
+        num = b.space.tol.num
+        certs["isotropic_containment"] = norm_at_most(
+            y - iso @ (iso.conj().T @ (b.space.metric @ y)),
+            lambda nb, nx, nq, nc: num * (nb * nx + nq * nc),
+            b, x0, q, c,
         )
     return (b.adjoint() @ (b @ x0 - c)).norm(), certs
 

@@ -22,7 +22,6 @@ from .core import (
     normal_equation,
     normal_nullspace,
     nullspace_of,
-    orthogonal_companion,
     per_instance,
     pseudo_inverse,
     pseudo_inverse_factors,
@@ -30,7 +29,6 @@ from .core import (
     regular_part,
     subspace_equal,
     subspace_from_spanning,
-    subspace_within,
     zero_subspace,
 )
 from .errors import BadProjection
@@ -246,9 +244,7 @@ def _min_norm_certificates(b, c, x1, value, seed):
     """R(X1) ⊆ N(B#B)^[⊥], the value's spectrum and X1 = DC; the normal-equation residual."""
     residual = (b.adjoint() @ (b @ x1 - c)).norm()
     certs = {
-        "range_constraint": subspace_within(
-            range_of(x1), orthogonal_companion(normal_nullspace(b))
-        ),
+        "range_constraint": krein_orthogonal(normal_nullspace(b).frame, x1),
         "value_spectrum": value_spectrum(value()),
         "ims_consistency": (_min_norm_inverse(b) @ c - x1).norm() / max(1.0, x1.norm()),
     }

@@ -289,7 +289,65 @@ def test_factorization_budget_of_a_benchmark_item(monkeypatch):
     assert {name: dict(spent) for name, spent in got.items()} == FACTORIZATION_BUDGET
 
 
-VALUED = ("solve_ims", "solve_immso", "solve_min_ims_norm")
+CERTIFIED = {
+    "solve_ims": lambda b, c: k.solve_ims(b, c, seed=4),
+    "solve_imax": lambda b, c: k.solve_imax(b, c, seed=4),
+    "solve_min_ims_norm": CALLS["solve_min_ims_norm"],
+}
+
+# what reading a report's certificates factors, summed over INSTANCES, each
+# solver on a fresh operator: per feasible report the value's eigvalsh, the solve
+# of the projection onto R(B) and the three printed norms; the one SVD is that
+# of ims_consistency's reduced inverse. isotropic_containment and range_constraint
+# are products against the kept analysis and factor nothing.
+CERTIFICATE_BUDGET = {
+    "solve_ims": {"eigvalsh": 32, "solve": 32, "norm2": 96},
+    "solve_imax": {"eigvalsh": 19, "solve": 19, "norm2": 57},
+    "solve_min_ims_norm": {"eigvalsh": 14, "solve": 14, "norm2": 42, "svd": 14},
+}
+
+
+def test_certificate_budget(monkeypatch):
+    """Reading the certificates factors what it factored when the budget was pinned."""
+    counts = _count_factorizations(monkeypatch)
+    got = {name: collections.Counter() for name in CERTIFIED}
+    for b, c in INSTANCES:
+        for name, call in CERTIFIED.items():
+            rep = call(*_fresh(b, c))
+            counts.clear()
+            _certified(rep)
+            got[name].update(counts)
+    assert {name: dict(spent) for name, spent in got.items()} == CERTIFICATE_BUDGET
+
+
+def _certificate_sweep(scale):
+    """INSTANCES, then the degenerate draws of seeds 0-399 that have a C, with B
+    and C scaled together."""
+    draws = (degenerate_instance(seed)[:2] for seed in range(400))
+    for b, c in [*INSTANCES, *draws]:
+        if c is not None:
+            yield b.space.operator(scale * b.matrix), c.space.operator(scale * c.matrix)
+
+
+@pytest.mark.parametrize("exp", (-100, 0, 100))
+def test_boolean_certificates_hold_on_every_feasible_report(exp):
+    """BX0 - QC lies in the isotropic part of a degenerate R(B), and R(X1) in
+    N(B#B)^[⊥], on every feasible report of the sweep and at every scale."""
+    read = collections.Counter()
+    for b, c in _certificate_sweep(10.0**exp):
+        for solve, name in (
+            (k.solve_ims, "isotropic_containment"),
+            (k.solve_imax, "isotropic_containment"),
+            (k.solve_min_ims_norm, "range_constraint"),
+        ):
+            rep = solve(b, c)
+            if rep.feasible and name in rep.certificates:
+                assert rep.certificates[name] is True, (exp, solve.__name__)
+                read[name] += 1
+    assert read == {"isotropic_containment": 337, "range_constraint": 31}
+
+
+VALUED =("solve_ims", "solve_immso", "solve_min_ims_norm")
 
 
 @pytest.mark.parametrize("index", range(len(INSTANCES)))

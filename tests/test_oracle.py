@@ -139,8 +139,9 @@ def _oracle_instance(seed, n, p, cond=0.0, rank=None, solve=False, plant=0.0):
     """(B, C, X0) in a space of inertia (p, n - p) with Gram condition 10^(2 cond).
 
     Columns of B from `rank` on are zero; with solve=True, X0 is the
-    solve_ims solution, otherwise a Gaussian matrix. A nonzero `plant` adds
-    that multiple of a Gaussian matrix to X0, which makes it non-minimal.
+    solve_ims solution (ValueError naming the reason when there is none),
+    otherwise a Gaussian matrix. A nonzero `plant` adds that multiple of a
+    Gaussian matrix to X0, which makes it non-minimal.
     """
     rng = np.random.default_rng(seed)
     d = np.concatenate([np.ones(p), -np.ones(n - p)]) * np.logspace(-cond, cond, n)
@@ -152,10 +153,22 @@ def _oracle_instance(seed, n, p, cond=0.0, rank=None, solve=False, plant=0.0):
         m[:, rank:] = 0.0
     b = sp.operator(m)
     c = sp.operator(gaussian(rng, (n, n)))
-    x0 = k.solve_ims(b, c).solution if solve else sp.operator(gaussian(rng, (n, n)))
+    if solve:
+        rep = k.solve_ims(b, c)
+        if not rep.feasible:
+            raise ValueError("solve_ims has no solution on this draw: %s" % rep.reason)
+        x0 = rep.solution
+    else:
+        x0 = sp.operator(gaussian(rng, (n, n)))
     if plant:
         x0 = sp.operator(x0.matrix + plant * gaussian(rng, (n, n)))
     return b, c, x0
+
+
+def test_oracle_instance_names_an_infeasible_draw():
+    """B = 0 with C != 0 has no solve_ims solution, also in a definite space."""
+    with pytest.raises(ValueError, match="ZeroOperator"):
+        _oracle_instance(0, 2, 2, rank=0, solve=True, plant=1.0)
 
 
 # (instance, trials, what the reference gives: "accept" or the failing trial);

@@ -58,6 +58,24 @@ def test_verdicts_are_scale_invariant(seed, b_exp, c_exp):
         assert solve(b_scaled, c_scaled).conditions == conditions, solve.__name__
 
 
+def _boolean_certificates(rep):
+    return {name: v for name, v in rep.certificates.items() if isinstance(v, bool)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**20), exp=st.floats(-100.0, 100.0))
+def test_certificates_are_scale_invariant(seed, exp):
+    """Scaling B and C together by 10^exp leaves every boolean certificate unchanged."""
+    b, c, _ = degenerate_instance(seed)
+    assume(c is not None)
+    sp = b.space
+    b_scaled, c_scaled = sp.operator(10.0**exp * b.matrix), sp.operator(10.0**exp * c.matrix)
+    for solve in (k.solve_ims, k.solve_imax, k.solve_min_ims_norm):
+        want, got = solve(b, c), solve(b_scaled, c_scaled)
+        assert got.feasible == want.feasible, solve.__name__
+        if want.feasible:
+            assert _boolean_certificates(got) == _boolean_certificates(want), solve.__name__
+
 
 def _solve_ims_feasible(seed):
     b, c, _ = degenerate_instance(seed)
