@@ -11,7 +11,13 @@ import argparse
 import sys
 
 from . import matio
-from .core import Operator, decompose_subspace, orthogonal_companion, subspace_from_spanning
+from .core import (
+    Operator,
+    Tolerances,
+    decompose_subspace,
+    orthogonal_companion,
+    subspace_from_spanning,
+)
 from .errors import KreinError, NotRegular, ParseError
 from .ils import indefinite_inverse, solve_imax, solve_ims, verify_ims
 from .minmax import solve_immso
@@ -44,23 +50,15 @@ def _subspace(space, args):
     return subspace_from_spanning(space, matio.load_subspace_basis(args.subspace))
 
 
-def _json(matrix):
-    return matio.matrix_to_json(matrix) if matrix is not None else None
-
-
-def _matrix(op):
-    return _json(op.matrix) if op is not None else None
-
-
 def _solve_report(rep):
     manifold = rep.manifold
     return {
         "feasible": rep.feasible,
         "reason": rep.reason,
         "conditions": rep.conditions,
-        "solution": _matrix(rep.solution),
-        "perturbation_basis": _json(manifold.perturbation_space.basis) if manifold else None,
-        "value": _matrix(rep.value),
+        "solution": rep.solution,
+        "perturbation_basis": manifold.perturbation_space.basis if manifold else None,
+        "value": rep.value,
         "residuals": {"normal_equation": rep.residual_normal_eq},
         "certificates": rep.certificates,
     }
@@ -68,7 +66,7 @@ def _solve_report(rep):
 
 def _projected(q, **rest):
     """Report body of a computed projection: its matrix, then the mode's extras."""
-    return {"feasible": True, "reason": None, "solution": _json(q.matrix), **rest}
+    return {"feasible": True, "reason": None, "solution": q, **rest}
 
 
 def _projection_body(q):
@@ -96,7 +94,7 @@ _ims = _solver(solve_ims, "b", "c")
 
 
 def _adjoint(space, args):
-    return 0, {"solution": _matrix(_operator(space, args, "b").adjoint())}
+    return 0, {"solution": _operator(space, args, "b").adjoint()}
 
 
 def _classify(space, args):
@@ -112,7 +110,7 @@ def _classify(space, args):
 def _companion(space, args):
     comp = orthogonal_companion(_subspace(space, args))
     return 0, {
-        "basis": _json(comp.basis),
+        "basis": comp.basis,
         "dim": comp.dim,
         "class": comp.classification.kind.value,
     }
@@ -121,8 +119,8 @@ def _companion(space, args):
 def _decompose(space, args):
     s_plus, s_minus = decompose_subspace(_subspace(space, args))
     return 0, {
-        "plus_basis": _json(s_plus.basis),
-        "minus_basis": _json(s_minus.basis),
+        "plus_basis": s_plus.basis,
+        "minus_basis": s_minus.basis,
         "plus_class": s_plus.classification.kind.value,
         "minus_class": s_minus.classification.kind.value,
     }
@@ -139,7 +137,7 @@ def _project(space, args):
     if args.mode == "selfadjoint":
         return 0, _projection_body(q)
     q_plus, q_minus = ando_split(q)
-    return 0, _projected(q, plus=_json(q_plus.matrix), minus=_json(q_minus.matrix))
+    return 0, _projected(q, plus=q_plus, minus=q_minus)
 
 
 def _geninv(space, args):
@@ -150,10 +148,10 @@ def _geninv(space, args):
     return 0, {
         "feasible": True,
         "reason": None,
-        "solution": _matrix(gi.d),
+        "solution": gi.d,
         "kind": gi.kind.value,
-        "q": _matrix(gi.q),
-        "p": _matrix(gi.p),
+        "q": gi.q,
+        "p": gi.p,
         "residuals": {
             "identity_bdb": (bd @ b - b).norm(),
             "identity_dbd": (db @ gi.d - gi.d).norm(),
@@ -182,7 +180,7 @@ def _oracle(space, args):
         "verdict": cert.verdict,
         "trials": cert.trials,
         "min_eigen_seen": cert.min_eigen_seen,
-        "witness": _json(cert.witness),
+        "witness": cert.witness,
     }
 
 
@@ -231,7 +229,8 @@ def _build_parser():
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        tol = matio.tolerances_from_overrides(args.tol_rank, args.tol_num)
+        num = Tolerances.num if args.tol_num is None else args.tol_num
+        tol = Tolerances(rank=args.tol_rank, num=num)
         space = matio.load_space(args.space, tol)
         code, body = COMMANDS[args.command][1](space, args)
     except KreinError as exc:

@@ -196,9 +196,6 @@ class KreinSpace:
         self.basis_minus = v[:, ~pos] / np.sqrt(np.abs(w[~pos]))
         self._gram_inv = herm((v / w) @ v.conj().T)
         self._chol_r, self._chol_rinv = metric_factors(self.metric)
-        # R J R^-1, made unitary to roundoff by one Newton-Schulz step
-        w0 = herm(self._chol_r @ self.j @ self._chol_rinv)
-        self._j_frame = herm(w0 @ (3.0 * np.eye(n) - w0 @ w0)) / 2.0
         for a in (self.gram, self.j, self.metric, self.basis_plus, self.basis_minus):
             a.setflags(write=False)
 
@@ -592,7 +589,7 @@ def orthogonal_companion(s):
     sp = s.space
     complement = getattr(s, "_complement", None)
     if complement is not None:
-        c = sp._chol_rinv @ (sp._j_frame @ complement)
+        c = sp.j @ (sp._chol_rinv @ complement)
         c -= (sp.j @ s.basis) @ (s.frame @ c)
         return _subspace_direct(sp, c)
     _, _, vh = np.linalg.svd(s.frame @ sp._chol_rinv)  # of rank dim S: G is invertible

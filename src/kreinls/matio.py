@@ -2,17 +2,19 @@
 
 Matrix schema: {"rows": int, "cols": int, "data": [[[re, im], ...], ...]},
 row-major with explicit complex pairs. A space file is {"gram": <matrix>},
-a subspace file {"basis": <matrix>}. Output is written by a canonical
-serializer (sorted nothing, insertion order, floats at 17 significant
-digits) so identical inputs produce byte-identical reports.
+a subspace file {"basis": <matrix>}. One canonical writer takes report values
+as the library makes them (numpy scalars, complex numbers as [re, im], real
+vectors as lists, other arrays, Operators and Projections as matrices), keeps
+insertion order and prints floats at 17 digits: same input, same bytes.
 """
 
 import json
 
 import numpy as np
 
-from .core import Tolerances, make_space
+from .core import Operator, make_space
 from .errors import ParseError
+from .projections import Projection
 
 
 def matrix_to_json(a):
@@ -76,59 +78,26 @@ def load_subspace_basis(path):
     return matrix_from_json(obj["basis"])
 
 
-def tolerances_from_overrides(tol_rank=None, tol_num=None):
-    base = Tolerances()
-    return Tolerances(
-        sym=base.sym,
-        num=base.num if tol_num is None else float(tol_num),
-        rank=base.rank if tol_rank is None else float(tol_rank),
-        neutral=base.neutral,
-    )
-
-
 # ---------------------------------------------------------------------------
 # canonical serialization
 # ---------------------------------------------------------------------------
 
-def jsonable(value):
-    """Coerce report values (numpy scalars/arrays included) to JSON types."""
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if value.ndim <= 1 and not np.iscomplexobj(value):
-            return [float(v) for v in value]
-        return matrix_to_json(value)
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
-    if value is None or isinstance(value, str):
-        return value
-    raise TypeError("cannot serialize %r" % type(value))
-
-
 def _write_canonical(out, value):
     if value is None:
         out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
+    elif isinstance(value, (bool, np.bool_)):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
         if not np.isfinite(value):
             raise ValueError("non-finite float in report")
-        out.append(format(value, ".17g"))
+        out.append(format(float(value), ".17g"))
+    elif isinstance(value, (complex, np.complexfloating)):
+        _write_canonical(out, [float(value.real), float(value.imag)])
     elif isinstance(value, str):
         out.append(json.dumps(value))
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, v in enumerate(value):
             if i:
@@ -144,6 +113,11 @@ def _write_canonical(out, value):
             out.append(":")
             _write_canonical(out, v)
         out.append("}")
+    elif isinstance(value, np.ndarray):
+        real_vector = value.ndim == 1 and not np.iscomplexobj(value)
+        _write_canonical(out, [float(v) for v in value] if real_vector else matrix_to_json(value))
+    elif isinstance(value, (Operator, Projection)):
+        _write_canonical(out, value.matrix)
     else:
         raise TypeError("cannot serialize %r" % type(value))
 
@@ -151,5 +125,5 @@ def _write_canonical(out, value):
 def canonical_dumps(obj):
     """Deterministic JSON: insertion-ordered keys, floats at 17 digits."""
     out = []
-    _write_canonical(out, jsonable(obj))
+    _write_canonical(out, obj)
     return "".join(out)

@@ -55,7 +55,7 @@ def split_operator(b):
 solve_immso = indefinite_inverse_in_range  # the stationary problem B#(BZ - C) = 0
 
 
-def verify_immso(z0, b, c, j=None, seed=0):
+def verify_immso(z0, b, c, j=None):
     """Check Z0 against the stationary problem: R(B(Z0 - Z1)) must be neutral.
 
     Z1 is the minimum-norm normal-equation solution; it depends on the

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import cli_env
 
-from kreinls import KreinError, SolveReport, cli
+from kreinls import KreinError, Projection, ProjectionKind, SolveReport, cli, matio
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -134,10 +135,6 @@ def test_fixture_values_in_reports():
 def test_tolerance_overrides_change_rank_decision(tmp_path):
     # a nearly rank-one basis: strict default keeps 2 directions,
     # a loose --tol-rank collapses it to a line
-    import numpy as np
-
-    from kreinls import matio
-
     near = tmp_path / "near_rank1.json"
     basis = np.array([[1.0, 1.0], [0.0, 1e-6]], dtype=complex)
     near.write_text(matio.canonical_dumps({"basis": matio.matrix_to_json(basis)}) + "\n")
@@ -149,6 +146,40 @@ def test_tolerance_overrides_change_rank_decision(tmp_path):
     assert total(strict) == 2
     assert total(loose) == 1
     assert loose["config_echo"]["tol_rank"] == 1e-3
+
+
+def test_canonical_dumps_writes_library_values(m2):
+    """Report values go to the writer as the library makes them."""
+    op = m2.operator([[1.0, 0.5j], [0.0, -2.0]])
+    proj = Projection(m2.operator(np.diag([1.0, 0.0])), None, ProjectionKind.SELFADJOINT)
+    report = {
+        "operator": op,
+        "projection": proj,
+        "kind": ProjectionKind.NORMAL,
+        "real_vector": np.array([0.25, 3.0]),
+        "complex_matrix": np.array([[1 + 2j], [3 - 1j]]),
+        "complex_vector": np.array([1j, 2.0]),
+        "flags": [np.bool_(True), np.bool_(False), True],
+        "count": np.int64(7),
+        "float": np.float64(0.1),
+        "complex": 1.5 - 2j,
+        "none": None,
+        "nested": (1, (2.5, "x"), {"k": (None,), 3: {}}),
+    }
+    assert matio.canonical_dumps(report) == (
+        '{"operator":{"rows":2,"cols":2,"data":[[[1,0],[0,0.5]],[[0,0],[-2,0]]]},'
+        '"projection":{"rows":2,"cols":2,"data":[[[1,0],[0,0]],[[0,0],[0,0]]]},'
+        '"kind":"Normal",'
+        '"real_vector":[0.25,3],'
+        '"complex_matrix":{"rows":2,"cols":1,"data":[[[1,2]],[[3,-1]]]},'
+        '"complex_vector":{"rows":1,"cols":2,"data":[[[0,1],[2,0]]]},'
+        '"flags":[true,false,true],'
+        '"count":7,'
+        '"float":0.10000000000000001,'
+        '"complex":[1.5,-2],'
+        '"none":null,'
+        '"nested":[1,[2.5,"x"],{"k":[null],"3":{}}]}'
+    )
 
 
 # each command without one operand it needs: (argv without --space, missing flag)
