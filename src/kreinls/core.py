@@ -11,6 +11,7 @@ its inertia and its parts.
 """
 
 import functools
+import math
 from dataclasses import InitVar, dataclass
 from enum import Enum
 
@@ -72,12 +73,14 @@ def _spectral_bracket(a):
     """(lo, hi) around ||a||_2, from ||a||_F / sqrt(min(shape)) <= ||a||_2 <= ||a||_F.
     The sum runs on a scaled by a power of two (exact), and the bracket is widened by
     4 ulps per entry, more than its roundoff or an SVD's: it never contradicts the SVD."""
-    if not a.any():
+    top = float(np.abs(a).max()) if a.size else 0.0
+    if not top:
         return 0.0, 0.0
-    e = np.frexp(np.abs(a).max())[1]
-    fro = float(np.ldexp(np.linalg.norm(a * np.ldexp(1.0, -e)), e))
+    e = max(math.frexp(top)[1], -1021)  # 2^-e is finite for a subnormal top
+    b = a * math.ldexp(1.0, -e)
+    fro = float(np.ldexp(math.sqrt(np.vdot(b, b).real), e))  # inf above the largest float
     slack = 4 * a.size * _EPS
-    return fro * (1.0 - slack) / np.sqrt(min(a.shape)), fro * (1.0 + slack)
+    return fro * (1.0 - slack) / math.sqrt(min(a.shape)), fro * (1.0 + slack)
 
 
 def norm_at_most(a, bound, *scales):
@@ -483,8 +486,7 @@ class Subspace:
 
     @functools.cached_property
     def classification(self):
-        w, _ = _restricted_eigh(self)
-        return _classify_gram(w, self.space.neutral_cutoff())
+        return _classify_gram(restricted_eigh(self)[0], self.space.neutral_cutoff())
 
 
 def _subspace_direct(space, basis, complement=None):
@@ -535,22 +537,23 @@ def classify(s):
 
 
 @per_instance
-def _restricted_eigh(s):
+def restricted_eigh(s):
+    """(w, U): the kept ordered_eigh of the restricted Gram; every sign question reads it."""
     w, u = ordered_eigh(s.gram_restricted)
     w.setflags(write=False)
     u.setflags(write=False)
     return w, u
 
 
-def _neutral_mask(s):
-    w, _ = _restricted_eigh(s)
-    return np.abs(w) <= s.space.neutral_cutoff()
+def neutral_mask(s):
+    """The eigenvalues of restricted_eigh(s) that the neutral cutoff decides are zero."""
+    return np.abs(restricted_eigh(s)[0]) <= s.space.neutral_cutoff()
 
 
 @per_instance
 def isotropic_part(s):
     """S ∩ S^[⊥], read off the zero eigenvalues of the restricted Gram."""
-    return _subspace_direct(s.space, s.basis @ _restricted_eigh(s)[1][:, _neutral_mask(s)])
+    return _subspace_direct(s.space, s.basis @ restricted_eigh(s)[1][:, neutral_mask(s)])
 
 
 @per_instance
@@ -558,7 +561,7 @@ def regular_part(s):
     """The span of the nonzero eigenvectors of the restricted Gram: S = S_reg [+] S^o.
 
     S_reg's metric complement is S^⊥ ⊕ S^o, kept when S keeps S^⊥."""
-    u, neutral = _restricted_eigh(s)[1], _neutral_mask(s)
+    u, neutral = restricted_eigh(s)[1], neutral_mask(s)
     complement = getattr(s, "_complement", None)
     if complement is not None:
         complement = np.hstack([complement, s.space._chol_r @ (s.basis @ u[:, neutral])])
@@ -572,7 +575,7 @@ def decompose_subspace(s):
     cutoff span S+; the rest (including neutral directions) span S-. Both
     [S+, S-] = 0 and <S+, S-> = 0 hold by construction.
     """
-    w, u = _restricted_eigh(s)
+    w, u = restricted_eigh(s)
     pos = w > s.space.neutral_cutoff()
     s_plus = _subspace_direct(s.space, s.basis @ u[:, pos])
     s_minus = _subspace_direct(s.space, s.basis @ u[:, ~pos])

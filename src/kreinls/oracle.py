@@ -138,7 +138,8 @@ def certify_min(b, c, x0, trials=1000, seed=0):
         # LAPACK fails on a NaN anywhere in the stack; zero those entries
         # so that a failure before them is still the one reported
         finite = np.isfinite(gd).all(axis=(1, 2)) & np.isfinite(floor)
-        gd[~finite] = 0.0
+        if not finite.all():
+            gd[~finite] = 0.0
         lam = np.linalg.eigvalsh(gd)
         scale = np.maximum(np.maximum(-lam[:, 0], lam[:, -1]), floor)  # max |λ| = ||G Δ||
         failed = np.flatnonzero(~finite | (lam[:, 0] < -sp.tol.num * scale))

@@ -1,10 +1,10 @@
 """Projections in an indefinite metric: selfadjoint, oblique, split, normal.
 
-A normal projection onto a degenerate subspace S = S_reg [+] S^o adds to the
-selfadjoint projection Q_reg onto the regular part the metric-orthogonal
-projection P^o = S^o S^o* M onto the isotropic part, applied to I - Q_reg;
-no companion is built and nothing is factored beyond Q_reg's solve. When S
-is regular the recipe collapses to the selfadjoint projection onto S itself.
+A normal projection onto a subspace S = S_reg [+] S^o adds to the selfadjoint
+projection Q_reg onto the regular part the metric-orthogonal projection
+P^o = S^o S^o* M onto the isotropic part, applied to I - Q_reg. Both are read
+off S's kept restricted eigh: no companion is built and nothing is factored.
+When S is regular, S^o = 0 and the one operator is the selfadjoint projection.
 """
 
 from dataclasses import dataclass
@@ -16,10 +16,13 @@ from .core import (
     Operator,
     decompose_subspace,
     isotropic_part,
+    neutral_mask,
     norm_at_most,
     per_instance,
+    pseudo_inverse,
     range_of,
-    regular_part,
+    restricted_eigh,
+    spectral_norm,
 )
 from .errors import BadProjection, NotComplementary, NotRegular, NotSelfadjoint
 
@@ -46,19 +49,11 @@ class Projection:
 # ---------------------------------------------------------------------------
 
 def selfadjoint_projection(s):
-    """The selfadjoint projection onto a regular subspace.
-
-    Q = basis (basis* G basis)^-1 basis* G; null space is S^[⊥].
-    """
+    """The selfadjoint projection onto a regular subspace, with null space S^[⊥];
+    the one operator normal_projection(s) keeps."""
     if not s.classification.regular:
         raise NotRegular("selfadjoint projection needs a regular subspace")
-    return Projection(_selfadjoint_operator(s), s, ProjectionKind.SELFADJOINT)
-
-
-@per_instance
-def _selfadjoint_operator(s):
-    """Kept on s; the Projection wrapper refers back to s, so it is built per call."""
-    return Operator(s.space, s.basis @ np.linalg.solve(s.gram_restricted, s.frame), _copy=False)
+    return Projection(_normal_operator(s), s, ProjectionKind.SELFADJOINT)
 
 
 def oblique_projection(m, n):
@@ -66,10 +61,10 @@ def oblique_projection(m, n):
     sp = m.space
     if m.dim + n.dim != sp.dim:
         raise NotComplementary("dimensions do not add up to the space")
-    w = np.hstack([m.basis, n.basis])
-    if sp.rank(w) != sp.dim:
+    w = Operator(sp, np.hstack([m.basis, n.basis]), _copy=False)
+    if range_of(w).dim != sp.dim:
         raise NotComplementary("M + N does not span the space")
-    coeff = np.linalg.inv(w)[: m.dim]
+    coeff = pseudo_inverse(w).matrix[: m.dim]  # W^-1, read off the one metric SVD
     return Projection(Operator(sp, m.basis @ coeff), m, ProjectionKind.OBLIQUE)
 
 
@@ -96,22 +91,21 @@ def normal_projection(s):
 
 @per_instance
 def _normal_operator(s):
-    """Q_reg + P^o (I - Q_reg), P^o = S^o S^o* M: the projection onto S^o along
-    N^[⊥] for its neutral partner N = J_K S^o in K = S_reg^[⊥] (J_K the signature
-    operator of K), which is the same operator because J_K S^o = J S^o:
+    """Q_reg + P^o (I - Q_reg) off S's kept restricted eigh (w, U): S_reg = S U_reg has
+    Gram diag(w_reg), so Q_reg = S_reg diag(1/w_reg) S_reg* G, and S^o = 0 on a regular S.
+    P^o = S^o S^o* M projects onto S^o along N^[⊥] for its neutral partner
+    N = J_K S^o in K = S_reg^[⊥] (J_K the signature operator of K), as J_K S^o = J S^o:
     - S^o is metric-orthogonal to S_reg (one kept eigh), so [Jx, s] = <x, s> = 0
       for x in S^o, s in S_reg: J S^o lies in K;
     - J_K = sign(C) for the compression C = P_K J|_K, and Cx = Jx, C(Jx) = x, so
       x lies in C's +-1 eigenspaces, where sign(C) = C: J_K x = Jx;
     - with N = J S^o, N* G = S^o* M and N* G S^o = I, so S^o (N* G S^o)^-1 N* G = P^o.
     """
-    if s.classification.regular:
-        return _selfadjoint_operator(s)
-    sp = s.space
-    q1 = _selfadjoint_operator(regular_part(s)).matrix
+    (w, u), reg = restricted_eigh(s), ~neutral_mask(s)
+    q1 = (s.basis @ (u[:, reg] / w[reg])) @ (u[:, reg].conj().T @ s.frame)
     iso = isotropic_part(s).basis
-    coeff = iso.conj().T @ sp.metric
-    return Operator(sp, q1 + iso @ (coeff - coeff @ q1), _copy=False)
+    coeff = iso.conj().T @ s.space.metric
+    return Operator(s.space, q1 + iso @ (coeff - coeff @ q1), _copy=False)
 
 
 def companion_identity_check(q, y):
@@ -119,7 +113,7 @@ def companion_identity_check(q, y):
     sp = q.op.space
     y = np.asarray(y, dtype=complex).reshape(sp.dim)
     residual = q.op.adjoint().matrix @ (y - q.matrix @ y)
-    return bool(np.linalg.norm(residual) <= sp.tol.num * np.linalg.norm(y))
+    return bool(spectral_norm(residual) <= sp.tol.num * spectral_norm(y))
 
 
 def projection_from_matrix(space, matrix):

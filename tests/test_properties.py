@@ -210,15 +210,72 @@ def _near_cutoff_subspace(rng, sp):
     return k.subspace_from_spanning(sp, a @ gaussian(rng, (a.shape[1], a.shape[1])))
 
 
-def test_inertia_agrees_with_the_parts_near_the_neutral_cutoff():
-    """classification, isotropic_part, regular_part and decompose_subspace decide one sign."""
+def _near_cutoff_draws():
+    """2000 near-cutoff subspaces (rng 61), each with its space."""
     rng = np.random.default_rng(61)
     spaces = [sp for sp in SPACES if max(sp.signature) > 1]
     for trial in range(2000):
-        s = _near_cutoff_subspace(rng, spaces[trial % len(spaces)])
+        sp = spaces[trial % len(spaces)]
+        yield sp, _near_cutoff_subspace(rng, sp)
+
+
+def test_inertia_agrees_with_the_parts_near_the_neutral_cutoff():
+    """classification, isotropic_part, regular_part and decompose_subspace decide one sign."""
+    for trial, (_, s) in enumerate(_near_cutoff_draws()):
         cls = s.classification
         s_plus, s_minus = k.decompose_subspace(s)
         n_zero = k.isotropic_part(s).dim
         inertia = (s_plus.dim, s_minus.dim - n_zero, n_zero)
         assert (cls.n_positive, cls.n_negative, cls.n_zero) == inertia, trial
         assert cls.n_positive + cls.n_negative == k.core.regular_part(s).dim, trial
+
+
+def test_selfadjoint_projection_near_the_neutral_cutoff_is_selfadjoint():
+    """On every draw that classifies as regular, the selfadjoint projection is the kept
+    normal projection, idempotent and G-selfadjoint within n eps max(1, ||Q||)^2, and
+    projection_from_matrix reads it back as Selfadjoint.
+
+    The restricted Gram has an eigenvalue at the neutral cutoff, so it is ill
+    conditioned: Q read off its eigh is G-selfadjoint by construction, where a
+    solve against it is not.
+    """
+    regular = 0
+    for sp, s in _near_cutoff_draws():
+        if not s.classification.regular:
+            continue
+        regular += 1
+        q = k.selfadjoint_projection(s)
+        assert q.op is k.normal_projection(s).op
+        bound = sp.dim * np.finfo(float).eps * max(1.0, q.op.norm()) ** 2
+        assert (q.op @ q.op - q.op).norm() <= bound, regular
+        assert (q.op.adjoint() - q.op).norm() <= bound, regular
+        assert k.projection_from_matrix(sp, q.matrix).kind is k.ProjectionKind.SELFADJOINT, regular
+    assert regular == 942
+
+
+@pytest.mark.xfail(
+    strict=True, reason="S^o is decided at tol.neutral, normality at tol.num (see CHANGES.md)"
+)
+def test_normal_projection_near_the_neutral_cutoff_is_read_back_as_normal():
+    """The library accepts its own normal projections onto the draws that classify
+    as degenerate: generalized_inverse takes them for B = S Γ, and
+    projection_from_matrix does not read them as Oblique.
+
+    The neutral cutoff keeps as isotropic an eigenvalue of about 1e-8 ||G||; the
+    commutator QQ# - Q#Q of the projection built on it is of that order, against
+    the tol.num = 1e-10 normality test.
+    """
+    draws = list(_near_cutoff_draws())
+    sp, s = next((sp, s) for sp, s in draws if not s.classification.regular)
+    b = sp.operator(s.basis @ gaussian(np.random.default_rng(0), (s.dim, sp.dim)))
+    k.generalized_inverse(
+        b, k.normal_projection(k.range_of(b)), k.normal_projection(k.nullspace_of(b))
+    )
+    oblique = [
+        index
+        for index, (space, sub) in enumerate(draws)
+        if not sub.classification.regular
+        and k.projection_from_matrix(space, k.normal_projection(sub).matrix).kind
+        is k.ProjectionKind.OBLIQUE
+    ]
+    assert oblique == []
