@@ -18,7 +18,6 @@ from .core import (
     contains_columns,
     decompose_subspace,
     full_subspace,
-    hilbert_inner,
     indefinite_inner,
     isotropic_part,
     make_space,

@@ -28,6 +28,8 @@ from .errors import (
 
 _EPS = float(np.finfo(float).eps)
 ANGLE_TOL = 1e-8  # the largest principal angle between a subspace and one containing it
+SYM_TOL = 1e-10  # relative Hermitian asymmetry of a Gram, or of G T in is_krein_positive
+NEUTRAL_TOL = 1e-8  # relative eigenvalue cutoff of restricted Grams (KreinSpace.neutral_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -36,22 +38,20 @@ ANGLE_TOL = 1e-8  # the largest principal angle between a subspace and one conta
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical policy used by a space and everything built on it.
+    """The numerical policy a caller sets for a space and everything built on it.
 
-    sym      relative Hermitian-asymmetry tolerance
-    num      relative tolerance for operator identities / residuals
-    rank     relative singular-value cutoff for rank decisions;
-             None means dim * machine_eps
-    neutral  relative eigenvalue cutoff when classifying restricted Grams
+    num   relative tolerance for operator identities / residuals
+    rank  relative singular-value cutoff for rank decisions;
+          None means dim * machine_eps
     """
 
-    sym: float = 1e-10
     num: float = 1e-10
     rank: float | None = None
-    neutral: float = 1e-8
 
-    def rank_factor(self, dim):
-        return self.rank if self.rank is not None else dim * _EPS
+    def __post_init__(self):
+        for name, value in (("num", self.num), ("rank", self.rank)):
+            if value is not None and not 0.0 <= value < math.inf:
+                raise KreinError("tolerance %s must be finite and nonnegative, got %r" % (name, value))
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +148,6 @@ def per_instance(build):
     return once
 
 
-def _rank_from_singulars(s, factor):
-    if s.size == 0:
-        return 0
-    return int(np.count_nonzero(s > factor * s[0]))
-
-
 # ---------------------------------------------------------------------------
 # spaces
 # ---------------------------------------------------------------------------
@@ -182,11 +176,14 @@ class KreinSpace:
         hermitian = herm(gram)
         w, v = ordered_eigh(hermitian)
         scale = float(np.max(np.abs(w)))  # ||G||_2, read off the eigh of its Hermitian part
-        if not norm_at_most(gram - gram.conj().T, lambda: self.tol.sym * scale):
+        if not norm_at_most(gram - gram.conj().T, lambda: SYM_TOL * scale):
             raise NotHermitian("gram matrix is not Hermitian within tolerance")
         gram = hermitian
-        if np.min(np.abs(w)) < self.tol.rank_factor(n) * scale:
+        self._rank_tol = self.tol.rank if self.tol.rank is not None else n * _EPS
+        if np.min(np.abs(w)) < self._rank_tol * scale:
             raise SingularGram("gram matrix is numerically singular")
+        # kappa = ||R|| ||R^-1|| for the metric's factor R, = sqrt(cond G)
+        self._kappa = math.sqrt(scale / np.min(np.abs(w)))
 
         pos = w > 0.0
         self.dim = n
@@ -221,15 +218,16 @@ class KreinSpace:
         a neutral subspace has restricted eigenvalues that are pure
         roundoff, so its own scale carries no information.
         """
-        return self.tol.neutral * self.gram_norm
+        return NEUTRAL_TOL * self.gram_norm
+
+    def _rank_of_singulars(self, s, floor=0.0):
+        """How many descending singular values s exceed max(s_1, floor) times the
+        rank factor (tol.rank, or dim * eps): the only count of a rank in the library."""
+        return int(np.count_nonzero(s > self._rank_tol * max(s[0], floor))) if s.size else 0
 
     def rank(self, a):
         """Numerical rank of a matrix at this space's cutoff."""
-        a = np.asarray(a, dtype=complex)
-        if a.size == 0:
-            return 0
-        s = np.linalg.svd(a, compute_uv=False)
-        return _rank_from_singulars(s, self.tol.rank_factor(self.dim))
+        return self._rank_of_singulars(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False))
 
     def __repr__(self):
         return "KreinSpace(dim=%d, signature=%s)" % (self.dim, self.signature)
@@ -263,18 +261,13 @@ def hilbert_pinv(space, a, metric=None, max_rank=None):
     """
     r, rinv = (space._chol_r, space._chol_rinv) if metric is None else metric_factors(metric)
     u, sing, vh = np.linalg.svd(r @ a @ rinv)
-    k = _rank_from_singulars(sing[:max_rank], space.tol.rank_factor(space.dim))
+    k = space._rank_of_singulars(sing[:max_rank])
     return rinv @ ((vh[:k].conj().T / sing[:k]) @ u[:, :k].conj().T) @ r
 
 
 def indefinite_inner(space, x, y):
     """[x, y] = y* G x."""
     return complex(np.vdot(y, space.gram @ x))
-
-
-def hilbert_inner(space, x, y):
-    """<x, y> = y* M x (the cached positive-definite product)."""
-    return complex(np.vdot(y, space.metric @ x))
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +344,15 @@ def metric_svd(t):
     """(U, s, V*, rank): R T R^-1 = U diag(s) V*, R the metric's Cholesky factor.
 
     T's range, null space, companions and pseudoinverse all read this one SVD
-    and its rank, decided at the space's cutoff.
+    and its rank, decided at the space's cutoff.  Forming R T R^-1 leaves
+    roundoff of order eps ||R|| ||T|| ||R^-1||, so the cutoff's scale is at
+    least kappa times the upper end of T's kept norm bracket.
     """
     sp = t.space
     u, s, vh = np.linalg.svd(sp._chol_r @ t.matrix @ sp._chol_rinv)
     for a in (u, s, vh):
         a.setflags(write=False)
-    return u, s, vh, _rank_from_singulars(s, sp.tol.rank_factor(sp.dim))
+    return u, s, vh, sp._rank_of_singulars(s, sp._kappa * _norm_bracket(t)[1])
 
 
 @per_instance
@@ -431,13 +426,13 @@ class SubspaceClass:
         return self.regular and self.nonpositive
 
 
-def _classify_gram(w, thr):
-    """Inertia of a restricted Gram from its eigenvalues, with the masks the parts use."""
+def _classify_gram(w, neutral):
+    """Inertia of a restricted Gram from its eigenvalues and their neutral mask."""
     k = w.size
     if k == 0:
         return SubspaceClass(SubspaceKind.ZERO, True, True, 0, 0, 0)
-    n_pos = int(np.count_nonzero(w > thr))
-    n_zero = int(np.count_nonzero(np.abs(w) <= thr))
+    n_pos = int(np.count_nonzero(~neutral & (w > 0)))
+    n_zero = int(np.count_nonzero(neutral))
     n_neg = k - n_pos - n_zero
     if n_zero == k:
         kind = SubspaceKind.NEUTRAL
@@ -486,7 +481,7 @@ class Subspace:
 
     @functools.cached_property
     def classification(self):
-        return _classify_gram(restricted_eigh(self)[0], self.space.neutral_cutoff())
+        return _classify_gram(restricted_eigh(self)[0], neutral_mask(self))
 
 
 def _subspace_direct(space, basis, complement=None):
@@ -519,7 +514,7 @@ def subspace_from_spanning(space, columns, rank=None):
     b = space._chol_r @ a
     u, s, _ = np.linalg.svd(b, full_matrices=False)
     if rank is None:
-        rank = _rank_from_singulars(s, space.tol.rank_factor(space.dim))
+        rank = space._rank_of_singulars(s)
     return _subspace_direct(space, space._chol_rinv @ u[:, :rank])
 
 
@@ -546,7 +541,8 @@ def restricted_eigh(s):
 
 
 def neutral_mask(s):
-    """The eigenvalues of restricted_eigh(s) that the neutral cutoff decides are zero."""
+    """The eigenvalues of restricted_eigh(s) that the neutral cutoff decides are zero:
+    the only comparison of restricted eigenvalues with that cutoff."""
     return np.abs(restricted_eigh(s)[0]) <= s.space.neutral_cutoff()
 
 
@@ -571,12 +567,12 @@ def regular_part(s):
 def decompose_subspace(s):
     """Split S into a positive part and a nonpositive part.
 
-    Eigenvectors of the restricted Gram with eigenvalue above the neutral
-    cutoff span S+; the rest (including neutral directions) span S-. Both
-    [S+, S-] = 0 and <S+, S-> = 0 hold by construction.
+    Eigenvectors of the restricted Gram with a positive eigenvalue outside
+    neutral_mask span S+; the rest (including neutral directions) span S-.
+    Both [S+, S-] = 0 and <S+, S-> = 0 hold by construction.
     """
     w, u = restricted_eigh(s)
-    pos = w > s.space.neutral_cutoff()
+    pos = ~neutral_mask(s) & (w > 0)
     s_plus = _subspace_direct(s.space, s.basis @ u[:, pos])
     s_minus = _subspace_direct(s.space, s.basis @ u[:, ~pos])
     return s_plus, s_minus
@@ -622,8 +618,7 @@ def nullspace_matrix(space, a):
     if not a.any():
         return np.eye(space.dim, dtype=complex)
     _, sv, vh = np.linalg.svd(a)
-    r = _rank_from_singulars(sv, space.tol.rank_factor(space.dim))
-    return vh[r:].conj().T
+    return vh[space._rank_of_singulars(sv):].conj().T
 
 
 @per_instance

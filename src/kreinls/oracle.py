@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import herm, nullspace_matrix, scaled_to_unit, spectral_norm
+from .core import SYM_TOL, herm, norm_at_most, nullspace_matrix, scaled_to_unit, spectral_norm
 from .errors import KreinError, SpaceMismatch
 
 
@@ -35,21 +35,22 @@ class Certificate:
 def is_krein_positive(t):
     """[Tx, x] >= 0 for all x: G T Hermitian with nonnegative spectrum.
 
-    Both tests scale with ||G|| ||T||, that of the roundoff in forming G T."""
+    Both tests scale with ||G|| ||T||, that of the roundoff in forming G T,
+    and decide through norm_at_most: ||T|| is factored only near a cutoff."""
     sp = t.space
-    scale = sp.gram_norm * t.norm()
-    if scale == 0.0:
+    if not t.matrix.any():
         return Certificate(True, None, 0, 0.0)
     gt = sp.gram @ t.matrix
     skew = (gt - gt.conj().T) / 2.0
     w, v = np.linalg.eigh(herm(gt))
     lam_min = float(w[0])
-    if spectral_norm(skew) > sp.tol.sym * scale:
+    gn, num = sp.gram_norm, sp.tol.num
+    if not norm_at_most(skew, lambda nt: SYM_TOL * (gn * nt), t):
         # the form [Tx, x] is not even real-valued; witness the worst direction
         ws, vs = np.linalg.eigh(skew / 1j)
         pick = int(np.argmax(np.abs(ws)))
         return Certificate(False, vs[:, pick].copy(), 0, lam_min)
-    if lam_min >= -sp.tol.num * scale:
+    if lam_min >= 0.0 or norm_at_most(np.array([lam_min]), lambda nt: num * (gn * nt), t):
         return Certificate(True, None, 0, lam_min)
     return Certificate(False, v[:, 0].copy(), 0, lam_min)
 
@@ -165,7 +166,7 @@ def hilbert_limit_check(b, c=None, seed=0):
     """
     sp = b.space
     eye = np.eye(sp.dim)
-    if spectral_norm(sp.gram - eye) > sp.tol.sym:
+    if not norm_at_most(sp.gram - eye, lambda: SYM_TOL):
         raise SpaceMismatch("hilbert_limit_check requires gram = I")
     from .ils import solve_ims
     from .pinv import krein_moore_penrose

@@ -52,6 +52,11 @@ ERROR_CASES = [
     ["adjoint", "--space", "m2.json", "--b", "eye4.json"],  # dimension mismatch
     ["project", "sideways", "--space", "m2.json", "--subspace", "span_e1.json"],
     ["oracle", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--x", "x_nan.json"],
+    # malformed tolerances: NaN or negative
+    ["solve-ils", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--tol-rank", "nan"],
+    ["solve-ils", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--tol-num", "nan"],
+    ["solve-ils", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--tol-rank", "-1"],
+    ["solve-ils", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--tol-num", "-1"],
 ]
 
 

@@ -1,5 +1,8 @@
 """Spaces, adjoints, subspace geometry and classification."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -61,7 +64,7 @@ def test_space_rejects_zero_gram():
 @pytest.mark.parametrize("factor", [10.0, 1.25, 0.8, 0.1])
 @pytest.mark.parametrize("p,q", SIGNATURES)
 def test_gram_hermitian_test_follows_the_skew_part(p, q, factor):
-    """G = H + K with K* = -K and ||G - G*||_2 = factor * tol.sym * ||G||_2: rejected
+    """G = H + K with K* = -K and ||G - G*||_2 = factor * SYM_TOL * ||G||_2: rejected
     above the cutoff, accepted below it, with the space of herm(G)."""
     h = make_signature_space(p, q, seed=7 * p + q).gram
     n = p + q
@@ -69,7 +72,7 @@ def test_gram_hermitian_test_follows_the_skew_part(p, q, factor):
     frame = random_unitary_columns(rng, n, 2)
     skew = frame[:, [0]] @ frame[:, [1]].conj().T
     skew = (skew - skew.conj().T) / 2.0  # rank 2, ||skew||_2 = 1/2
-    cutoff = k.Tolerances().sym * spectral_norm(h)
+    cutoff = k.core.SYM_TOL * spectral_norm(h)
     g = h + factor * cutoff * skew
     if factor > 1.0:
         with pytest.raises(k.NotHermitian):
@@ -227,6 +230,19 @@ def test_space_tolerances_are_read_only():
     with pytest.raises(AttributeError):
         sp.tol = k.Tolerances(rank=1e-6)
     assert sp.tol == k.Tolerances()
+
+
+@pytest.mark.parametrize("field", ["num", "rank"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, -1e-300])
+def test_tolerances_reject_malformed_values(field, value):
+    with pytest.raises(k.KreinError):
+        k.Tolerances(**{field: value})
+
+
+def test_tolerances_are_the_two_knobs():
+    """num and rank are all a caller sets; zero is a valid value of each."""
+    assert [f.name for f in dataclasses.fields(k.Tolerances)] == ["num", "rank"]
+    assert k.Tolerances(num=0.0, rank=0.0).rank == 0.0
 
 
 # ---------------------------------------------------------------------------

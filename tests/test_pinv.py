@@ -255,9 +255,10 @@ def _degenerate_normal_nullspace_draws(count):
     """(B, N, C reachable, C Gaussian): R(B) regular, N = N(B) = N(B#B) nonnegative degenerate.
 
     A reachable C is B·(a part in N^[⊥]) + (a part in R(B)^[⊥]).  The spaces
-    decide ranks at 1e-12: at the default dim * eps cutoff a roundoff singular
-    value of the constructed B survives on draws 0, 80 and 200 of these 300 and
-    R(B) comes out one too large (test_normal_equation_at_the_default_cutoff).
+    decide ranks at 1e-12.  At a cutoff of dim * eps * s_1 alone, a roundoff
+    singular value of the formed R B R^-1 survived on draws 0, 80 and 200 of
+    these 300 and R(B) came out one too large; the default cutoff's floor
+    kappa * ||B|| removes it (test_normal_equation_at_the_default_cutoff).
     """
     rng = np.random.default_rng(71)
     tol = k.Tolerances(rank=1e-12)
@@ -297,12 +298,11 @@ def test_min_norm_inclusion_with_degenerate_normal_nullspace():
                 assert rep.conditions["range_inclusion"] == want, (bs, cs)
 
 
-@pytest.mark.xfail(strict=True, reason="range_of keeps a roundoff singular value (see CHANGES.md)")
 def test_normal_equation_at_the_default_cutoff():
     """N(B#B) = N(B) and X0 solves the normal equation on all 300 draws above at the default cutoff.
 
-    Where R(B) comes out regular and one too large, K = U_reg* G B keeps a
-    singular value of roundoff size and X0 is that roundoff inverted.
+    Were R(B) to come out regular and one too large, K = U_reg* G B would keep
+    a singular value of roundoff size and X0 would be that roundoff inverted.
     """
     wrong = []
     for index, (b, n_sub, reach, _) in enumerate(_degenerate_normal_nullspace_draws(300)):
