@@ -222,12 +222,9 @@ class KreinSpace:
 
     def _rank_of_singulars(self, s, floor=0.0):
         """How many descending singular values s exceed max(s_1, floor) times the
-        rank factor (tol.rank, or dim * eps): the only count of a rank in the library."""
+        rank factor (tol.rank, or dim * eps): the library's only rank count, made where a
+        span enters (metric_svd, subspace_from_spanning, nullspace_matrix)."""
         return int(np.count_nonzero(s > self._rank_tol * max(s[0], floor))) if s.size else 0
-
-    def rank(self, a):
-        """Numerical rank of a matrix at this space's cutoff."""
-        return self._rank_of_singulars(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False))
 
     def __repr__(self):
         return "KreinSpace(dim=%d, signature=%s)" % (self.dim, self.signature)
@@ -253,15 +250,12 @@ def metric_factors(metric):
     return r, np.linalg.inv(r)
 
 
-def hilbert_pinv(space, a, metric=None, max_rank=None):
-    """Pseudoinverse with respect to a Hilbert metric (the space's by default).
-
-    Conjugates with the Cholesky factor of the metric, applies the classical
-    pseudoinverse at space.rank's cutoff, keeping at most max_rank values.
-    """
+def hilbert_pinv(space, a, k, metric=None):
+    """Pseudoinverse of a matrix of stated rank k with respect to a Hilbert metric (the
+    space's by default): conjugated with the metric's Cholesky factor, the classical
+    pseudoinverse of its k leading singular values; nothing is cut here."""
     r, rinv = (space._chol_r, space._chol_rinv) if metric is None else metric_factors(metric)
     u, sing, vh = np.linalg.svd(r @ a @ rinv)
-    k = space._rank_of_singulars(sing[:max_rank])
     return rinv @ ((vh[:k].conj().T / sing[:k]) @ u[:, :k].conj().T) @ r
 
 
@@ -500,9 +494,9 @@ def subspace_from_spanning(space, columns, rank=None):
     """Canonical subspace spanned by the given columns.
 
     The span is orthonormalized in the cached Hilbert product; the rank is
-    decided at the space's singular-value cutoff unless the caller states
-    it outright (useful when the rank is known exactly, e.g. the trace of
-    an idempotent, and a formed product carries borderline roundoff).
+    decided at the space's cutoff, scaled by at least ||R|| ||A|| (the roundoff
+    scale of forming R A, ||R||_2 = sqrt(||G||_2)), unless the caller states it
+    (e.g. the trace of an idempotent, when a formed product carries borderline roundoff).
     """
     a = np.asarray(columns, dtype=complex)
     if a.ndim == 1:
@@ -514,7 +508,7 @@ def subspace_from_spanning(space, columns, rank=None):
     b = space._chol_r @ a
     u, s, _ = np.linalg.svd(b, full_matrices=False)
     if rank is None:
-        rank = space._rank_of_singulars(s)
+        rank = space._rank_of_singulars(s, math.sqrt(space.gram_norm) * _spectral_bracket(a)[1])
     return _subspace_direct(space, space._chol_rinv @ u[:, :rank])
 
 
@@ -702,9 +696,11 @@ def subspace_within(inner, outer):
 
 
 def contains_columns(s, columns):
-    """Columns lie in S, decided by the rank test rank([basis|cols]) = rank(basis)."""
-    stacked = np.column_stack([s.basis, np.asarray(columns, dtype=complex)])
-    return s.space.rank(stacked) == s.dim
+    """Columns lie in S: [basis | cols] spans dim S, with the block of columns scaled
+    to a unit largest entry (scaled_to_unit, exact), so no scale of cols changes it."""
+    cols = np.asarray(columns, dtype=complex)
+    unit = scaled_to_unit(cols, np.abs(cols).max(initial=0.0))
+    return subspace_from_spanning(s.space, np.column_stack([s.basis, unit])).dim == s.dim
 
 
 def krein_orthogonal(frame, c):
@@ -736,15 +732,15 @@ def subspace_intersection(s1, s2):
 # ---------------------------------------------------------------------------
 
 def range_inclusion(z, y):
-    """R(Z) ⊆ R(Y), decided by rank([Y|Z]) = rank(Y)."""
+    """R(Z) ⊆ R(Y): Z's columns lie in Y's kept range."""
     if z.space is not y.space:
         raise SpaceMismatch("operators bound to different spaces")
-    sp = y.space
-    return sp.rank(np.hstack([y.matrix, z.matrix])) == sp.rank(y.matrix)
+    return contains_columns(range_of(y), z.matrix)
 
 
 def solve_douglas(y, z):
-    """Factor Z = Y D when R(Z) ⊆ R(Y); D is the minimum-Hilbert-norm factor."""
+    """Factor Z = Y D when R(Z) ⊆ R(Y), both read off Y's kept metric SVD; D is the
+    minimum-Hilbert-norm factor."""
     if not range_inclusion(z, y):
         raise NoFactorization("R(Z) is not contained in R(Y)")
     return Operator(y.space, pseudo_inverse(y).matrix @ z.matrix)

@@ -27,6 +27,7 @@ from .core import (
     pseudo_inverse_factors,
     range_of,
     scaled_to_unit,
+    subspace_from_spanning,
     sum_with_companion_contains,
 )
 from .oracle import certify_min
@@ -241,14 +242,15 @@ STATIONARY = Problem((RANGE_INCLUSION,), _normal_equation_answer, _stationary_ce
 
 
 def regular_range_rank_check(b):
-    """Independent regularity test: R(B#) = R(B#B) as a rank statement.
+    """Independent regularity test: R(B#) = R(B#B) as a statement on their dimensions.
 
-    Both ranks are read off B scaled to unit norm (scaled_to_unit), whose B#B
+    Both spans are read off B scaled to unit norm (scaled_to_unit), whose B#B
     cannot overflow.
     """
     sp = b.space
     unit = sp.operator(scaled_to_unit(b.matrix, b.norm()))
-    return sp.rank(unit.adjoint().matrix) == sp.rank((unit.adjoint() @ unit).matrix)
+    adj, square = unit.adjoint().matrix, (unit.adjoint() @ unit).matrix
+    return subspace_from_spanning(sp, adj).dim == subspace_from_spanning(sp, square).dim
 
 
 def _inverse_answer(b, c):
@@ -316,11 +318,11 @@ def solve_imax(b, c, seed=0):
 def verify_ims(x, b, c, trials=200, seed=0):
     """Accept X iff the normal equation holds and sampling finds no better competitor.
 
-    The normal equation holds when ||B#(BX - C)|| <= tol.num max(1, ||B||(||B|| ||X|| + ||C||)),
+    The normal equation holds when ||B#(BX - C)|| <= tol.num ||B|| (||B|| ||X|| + ||C||),
     decided by norm_at_most: a spectral norm is factored only near the cutoff.
     """
     num = b.space.tol.num
     residual = (b.adjoint() @ (b @ x - c)).matrix
-    if not norm_at_most(residual, lambda nb, nx, nc: num * max(1.0, nb * (nb * nx + nc)), b, x, c):
+    if not norm_at_most(residual, lambda nb, nx, nc: num * nb * (nb * nx + nc), b, x, c):
         return False
     return certify_min(b, c, x, trials=trials, seed=seed).verdict

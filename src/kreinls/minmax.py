@@ -74,7 +74,7 @@ def verify_immso(z0, b, c, j=None):
     gap = b @ (z0 - z1)
     # a gap that is roundoff relative to the problem data is a zero gap
     num = sp.tol.num
-    if norm_at_most(gap.matrix, lambda nb, *nz: num * max(nb * max(*nz, 1.0), 1.0), b, z0, z1):
+    if norm_at_most(gap.matrix, lambda nb, *nz: num * nb * max(*nz, 1.0), b, z0, z1):
         return True
     return neutral_range(gap)
 

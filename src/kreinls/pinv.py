@@ -161,7 +161,7 @@ def _moore_penrose_certificates(b, c, bdag, value, seed):
     n = sp.dim
     w = np.eye(n) + 0.25 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     other_metric = herm(w.conj().T @ sp.metric @ w)
-    bt2 = Operator(sp, hilbert_pinv(sp, b.matrix, metric=other_metric))
+    bt2 = Operator(sp, hilbert_pinv(sp, b.matrix, range_of(b).dim, metric=other_metric))
     bdag2 = p_prime @ bt2 @ q
     certs["uniqueness_rebuild_dev"] = (bdag2 - bdag).norm() / max(1.0, bdag.norm())
     return certs["identity_bdb"], certs
@@ -205,7 +205,7 @@ def _reduced_inverse(b, q_op, p_op):
     """reduced_generalized_inverse for Q, P' this module built itself: no validation."""
     sp = b.space
     b_red = q_op.adjoint() @ b  # rank dim S_reg for any projection Q onto R(B): N(Q#) = R(B)^[⊥]
-    bt = Operator(sp, hilbert_pinv(sp, b_red.matrix, max_rank=regular_part(range_of(b)).dim))
+    bt = Operator(sp, hilbert_pinv(sp, b_red.matrix, regular_part(range_of(b)).dim))
     return (sp.eye() - p_op) @ bt @ (q_op.adjoint() @ q_op)
 
 

@@ -22,7 +22,6 @@ from .core import (
     pseudo_inverse,
     range_of,
     restricted_eigh,
-    spectral_norm,
 )
 from .errors import BadProjection, NotComplementary, NotRegular, NotSelfadjoint
 
@@ -109,11 +108,13 @@ def _normal_operator(s):
 
 
 def companion_identity_check(q, y):
-    """Whether Q#(I - Q)y = 0; equivalent to y ∈ S + S^[⊥] for normal Q."""
+    """Whether Q#(I - Q)y = 0, to tol.num max(1, ||Q||)^2 ||y||, the roundoff scale of
+    forming it; equivalent to y ∈ S + S^[⊥] for normal Q."""
     sp = q.op.space
-    y = np.asarray(y, dtype=complex).reshape(sp.dim)
+    y = np.asarray(y, dtype=complex).reshape(sp.dim, 1)
     residual = q.op.adjoint().matrix @ (y - q.matrix @ y)
-    return bool(spectral_norm(residual) <= sp.tol.num * spectral_norm(y))
+    size, num = float(np.linalg.norm(y)), sp.tol.num
+    return norm_at_most(residual, lambda s: num * max(1.0, s) ** 2 * size, q.op)
 
 
 def projection_from_matrix(space, matrix):

@@ -352,6 +352,14 @@ VALUED =("solve_ims", "solve_immso", "solve_min_ims_norm")
 
 
 @pytest.mark.parametrize("index", range(len(INSTANCES)))
+def test_regularity_rank_remark_agrees_with_the_classification(index):
+    """The remark's dimension test R(B#) = R(B#B) and the kept inertia of R(B) agree."""
+    b = INSTANCES[index][0]
+    remark = k.indefinite_inverse(b).certificates["regularity_rank_remark"]
+    assert remark == k.range_of(b).classification.regular
+
+
+@pytest.mark.parametrize("index", range(len(INSTANCES)))
 def test_value_is_formed_on_first_read(index):
     """A feasible report forms its value when .value or a certificate is first read,
     once for both; two reads return one Operator, bit-identical to R#R."""

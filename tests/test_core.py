@@ -395,7 +395,6 @@ def test_sum_intersection_dimension_formula(m4):
         assert k.subspace_within(inter, s1) and k.subspace_within(inter, s2)
 
 
-@pytest.mark.xfail(strict=True, reason="the rank of [S | S^[⊥]] is decided at dim eps (see CHANGES.md)")
 def test_neutral_line_plus_its_companion_is_the_line():
     """A neutral line S in a (1, 1) space is its own companion, so S + S^[⊥] = S.
 

@@ -15,6 +15,7 @@ from conftest import (
     random_subspace,
     subspace_choices,
 )
+from test_properties import degenerate_instance
 
 B1 = np.diag([1.0, 0.0])
 B2 = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -211,6 +212,29 @@ def test_verify_ims_accepts_and_rejects(m2):
     neg = m2.operator(np.diag([0.0, 1.0]))
     x_stat = m2.operator([[0.0, 0.0], [0.0, 1.0]])
     assert not k.verify_ims(x_stat, neg, neg @ m2.eye())
+
+
+def _perturbed_minimizers():
+    """(B, C, X0 + 1e-6 Gaussian) on the feasible solve_ims draws of degenerate seeds 0-199."""
+    for seed in range(200):
+        b, c, _ = degenerate_instance(seed)
+        if c is not None and (rep := k.solve_ims(b, c)).feasible:
+            x0 = rep.solution.matrix
+            delta = 1e-6 * gaussian(np.random.default_rng(seed), x0.shape)
+            yield b, c, b.space.operator(x0 + delta)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_verify_ims_verdict_is_scale_invariant(scale):
+    """Scaling B and C together leaves each verify_ims verdict: X0 + 1e-6 Gaussian is
+    a minimizer on a neutral range, where every X is one, and fails the gate elsewhere."""
+    verdicts = []
+    for b, c, x in _perturbed_minimizers():
+        sp = b.space
+        want = k.verify_ims(x, b, c)
+        assert k.verify_ims(x, sp.operator(scale * b.matrix), sp.operator(scale * c.matrix)) == want
+        verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)
 
 
 @pytest.mark.parametrize("p,q", SIGNATURES)

@@ -77,6 +77,16 @@ def test_verify_immso_rejects(m4):
     assert not k.verify_immso(m4.operator(2 * np.eye(4)), b, c)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_verify_immso_rejects_at_every_scale(m4, scale):
+    """Z0 + I leaves the gap B, which is not neutral, however small or large B and C are."""
+    b = m4.operator(scale * np.diag([1.0, 1.0, 0.0, 0.0]))
+    c = m4.operator(scale * np.eye(4))
+    z_good = k.solve_immso(b, c).solution
+    assert k.verify_immso(z_good, b, c)
+    assert not k.verify_immso(z_good + m4.eye(), b, c)
+
+
 def test_verify_immso_infeasible_raises(m2):
     with pytest.raises(k.InfeasibleInstance):
         k.verify_immso(m2.eye(), m2.operator(B2), m2.eye())

@@ -235,6 +235,19 @@ def test_companion_identity_membership(m4):
         assert k.companion_identity_check(q, y_any) == k.contains_columns(inside, y_any)
 
 
+@pytest.mark.parametrize("square", [1e-1, 1e-5, 1e-7])
+@pytest.mark.parametrize("size", [1e-100, 3.0, 1e100])
+def test_companion_identity_holds_on_a_nearly_neutral_regular_line(square, size):
+    """A regular line S spanned by v with [v, v] = square in diag(1, -1) has
+    S + S^[⊥] = C^2, so y = size v passes: forming Q#(I - Q)y leaves roundoff
+    of order eps ||Q||^2 ||y||, and ||Q|| grows as 1 / square."""
+    sp = k.make_space(np.diag([1.0, -1.0]))
+    v = np.array([1.0, np.sqrt(1.0 - square)])
+    s = k.subspace_from_spanning(sp, v)
+    assert s.classification.regular
+    assert k.companion_identity_check(k.selfadjoint_projection(s), size * v)
+
+
 def test_projection_from_matrix_kinds(m2, m4):
     sa = k.projection_from_matrix(m2, np.diag([1.0, 0.0]))
     assert sa.kind is k.ProjectionKind.SELFADJOINT

@@ -107,6 +107,34 @@ def test_certificates_are_scale_invariant(seed, exp):
             assert _boolean_certificates(got) == _boolean_certificates(want), solve.__name__
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**20),
+    y_exp=st.floats(-150.0, 150.0),
+    z_exp=st.floats(-150.0, 150.0),
+)
+def test_range_inclusion_is_scale_invariant(seed, y_exp, z_exp):
+    """R(Z) ⊆ R(Y) for Z = Y X with Y and Z at any scales, and not once Z gains a
+    direction off R(Y); solve_douglas factors the first and refuses the second."""
+    rng = np.random.default_rng(seed)
+    sp = SPACES[seed % len(SPACES)]
+    n = sp.dim
+    r = int(rng.integers(1, n))
+    frame = random_unitary_columns(rng, n, r + 1)  # R(Y), and a direction off it last
+    y0 = frame[:, :r] @ gaussian(rng, (r, n))
+    z0 = y0 @ gaussian(rng, (n, n))
+    off = np.outer(frame[:, r], gaussian(rng, (n,)))
+    y = sp.operator(10.0**y_exp * y0)
+    z = sp.operator(10.0**z_exp * z0)
+    outside = sp.operator(10.0**z_exp * (z0 + off))
+    assert k.range_inclusion(z, y)
+    d = k.solve_douglas(y, z)
+    assert (y @ d - z).norm() <= 1e-10 * y.norm() * d.norm()
+    assert not k.range_inclusion(outside, y)
+    with pytest.raises(k.NoFactorization):
+        k.solve_douglas(y, outside)
+
+
 def _solve_ims_feasible(seed):
     b, c, _ = degenerate_instance(seed)
     return c is not None and k.solve_ims(b, c).feasible

@@ -1,0 +1,50 @@
+"""A rank is decided only where a new span enters the library.
+
+`KreinSpace._rank_of_singulars` is the one count of singular values above the
+rank cutoff. It is called by `metric_svd` (operators), `subspace_from_spanning`
+(columns) and `nullspace_matrix` (stacked frames); every other rank is read off
+what these keep. No linter ships with the project, so the standard library's
+ast checks that no other function reaches for the count.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kreinls"
+RANK_SITES = {"metric_svd", "subspace_from_spanning", "nullspace_matrix"}
+
+
+def _referrers(source, name):
+    """Names of the innermost functions (or "<module>") that mention `name`,
+    as a plain name or an attribute."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = getattr(node, "name", "<lambda>")
+        if (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_ranks_are_counted_only_where_a_span_enters():
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        found |= _referrers(path.read_text(), "_rank_of_singulars")
+    assert found == RANK_SITES
+
+
+def test_the_check_finds_every_referrer():
+    source = (
+        "class Space:\n    def _count(self, s):\n        return s\n\n"
+        "def decided(sp, s):\n    return sp._count(s)\n\n"
+        "def outer(sp):\n    def inner(s):\n        return sp._count(s)\n    return inner\n\n"
+        "kept = Space._count\n"
+    )
+    assert _referrers(source, "_count") == {"decided", "inner", "<module>"}
