@@ -233,14 +233,14 @@ def main(argv=None):
         tol = Tolerances(rank=args.tol_rank, num=num)
         space = matio.load_space(args.space, tol)
         code, body = COMMANDS[args.command][1](space, args)
+        head = {"command": args.command}
+        if "mode" in args:  # project's positional mode leads its report and echo
+            head["mode"] = args.mode
+        report = {**head, **body, "config_echo": {**head, **{k: getattr(args, k) for k in _ECHOED}}}
+        text = matio.canonical_dumps(report) + "\n"
     except KreinError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    head = {"command": args.command}
-    if "mode" in args:  # project's positional mode leads its report and echo
-        head["mode"] = args.mode
-    report = {**head, **body, "config_echo": {**head, **{k: getattr(args, k) for k in _ECHOED}}}
-    text = matio.canonical_dumps(report) + "\n"
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -220,10 +220,11 @@ class KreinSpace:
         """
         return NEUTRAL_TOL * self.gram_norm
 
-    def _rank_of_singulars(self, s, floor=0.0):
+    def _rank_of_singulars(self, s, floor):
         """How many descending singular values s exceed max(s_1, floor) times the
-        rank factor (tol.rank, or dim * eps): the library's only rank count, made where a
-        span enters (metric_svd, subspace_from_spanning, nullspace_matrix)."""
+        rank factor (tol.rank, or dim * eps), floor the roundoff scale of forming the
+        factored matrix: the library's only rank count, made where a span enters
+        (metric_svd, subspace_from_spanning, nullspace_matrix)."""
         return int(np.count_nonzero(s > self._rank_tol * max(s[0], floor))) if s.size else 0
 
     def __repr__(self):
@@ -517,7 +518,8 @@ def zero_subspace(space):
 
 
 def full_subspace(space):
-    return subspace_from_spanning(space, np.eye(space.dim))
+    """The whole space, spanned by the metric-orthonormal columns of R^-1."""
+    return _subspace_direct(space, space._chol_rinv, np.zeros((space.dim, 0)))
 
 
 def classify(s):
@@ -589,30 +591,22 @@ def orthogonal_companion(s):
     return _subspace_direct(sp, sp._chol_rinv @ vh[s.dim :].conj().T)
 
 
-def range_of(t, rank=None):
-    """Range of an operator as a canonical subspace.
-
-    Kept on the operator when the rank is decided at the space's cutoff; a
-    stated rank gives a new subspace and leaves the kept one alone.
-    """
-    if rank is not None:
-        return subspace_from_spanning(t.space, t.matrix, rank=rank)
-    return _range(t)
-
-
 @per_instance
-def _range(t):
+def range_of(t):
+    """Range of an operator as a canonical subspace, read off its kept metric SVD.
+    A span of stated rank goes through subspace_from_spanning(..., rank=)."""
     u, _, _, r = metric_svd(t)
     return _subspace_direct(t.space, t.space._chol_rinv @ u[:, :r], u[:, r:])
 
 
-def nullspace_matrix(space, a):
-    """Orthonormal (standard) basis of null(a); raw ndarray, n x k."""
+def nullspace_matrix(space, a, floor):
+    """Orthonormal (standard) basis of null(a); raw ndarray, n x k. The caller
+    states floor, the roundoff scale of forming a: pure roundoff has rank 0."""
     a = np.asarray(a, dtype=complex)
     if not a.any():
         return np.eye(space.dim, dtype=complex)
     _, sv, vh = np.linalg.svd(a)
-    return vh[space._rank_of_singulars(sv):].conj().T
+    return vh[space._rank_of_singulars(sv, floor):].conj().T
 
 
 @per_instance
@@ -723,8 +717,9 @@ def subspace_sum(s1, s2):
 def subspace_intersection(s1, s2):
     if s1.dim == 0 or s2.dim == 0:
         return zero_subspace(s1.space)
-    coeff = nullspace_matrix(s1.space, np.hstack([s1.basis, -s2.basis]))
-    return subspace_from_spanning(s1.space, s1.basis @ coeff[: s1.dim])
+    sp, stacked = s1.space, np.hstack([s1.basis, -s2.basis])
+    coeff = nullspace_matrix(sp, stacked, sp._kappa * _spectral_bracket(stacked)[1])
+    return subspace_from_spanning(sp, s1.basis @ coeff[: s1.dim])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .core import Operator, make_space
-from .errors import ParseError
+from .errors import KreinError, ParseError
 from .projections import Projection
 
 
@@ -91,7 +91,7 @@ def _write_canonical(out, value):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
         if not np.isfinite(value):
-            raise ValueError("non-finite float in report")
+            raise KreinError("report value %r is not finite" % float(value))
         out.append(format(float(value), ".17g"))
     elif isinstance(value, (complex, np.complexfloating)):
         _write_canonical(out, [float(value.real), float(value.imag)])

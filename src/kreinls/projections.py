@@ -22,6 +22,7 @@ from .core import (
     pseudo_inverse,
     range_of,
     restricted_eigh,
+    subspace_from_spanning,
 )
 from .errors import BadProjection, NotComplementary, NotRegular, NotSelfadjoint
 
@@ -134,4 +135,4 @@ def projection_from_matrix(space, matrix):
         kind = ProjectionKind.NORMAL
     # rank of an idempotent is its trace; immune to borderline singular values
     rank = min(max(int(round(op.matrix.trace().real)), 0), space.dim)
-    return Projection(op, range_of(op, rank=rank), kind)
+    return Projection(op, subspace_from_spanning(space, op.matrix, rank=rank), kind)

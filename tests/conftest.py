@@ -111,7 +111,8 @@ def operator_with_range(space, sub, rng):
 def operator_with_range_and_kernel(space, r_sub, n_sub, rng):
     """Random operator with prescribed range and null space (dims must add up)."""
     assert r_sub.dim + n_sub.dim == space.dim
-    comp = k.core.nullspace_matrix(space, n_sub.basis.conj().T @ space.metric)
+    roundoff = np.linalg.norm(n_sub.basis) * np.linalg.norm(space.metric)
+    comp = k.core.nullspace_matrix(space, n_sub.basis.conj().T @ space.metric, roundoff)
     a = gaussian(rng, (r_sub.dim, comp.shape[1]))
     a += 2.0 * np.eye(r_sub.dim)  # keep it comfortably full-rank
     return space.operator(r_sub.basis @ a @ comp.conj().T @ space.metric)

@@ -186,6 +186,18 @@ def test_one_svd_analyses_an_operator(index, monkeypatch):
     assert not counts, counts
 
 
+@pytest.mark.parametrize("p,q", SIGNATURES)
+def test_the_full_subspace_is_a_stated_span(p, q, monkeypatch):
+    """The columns of R^-1 are metric-orthonormal: no factorization, no rank decision."""
+    sp = make_signature_space(p, q, seed=3)
+    counts = _count_factorizations(monkeypatch)
+    full = k.full_subspace(sp)
+    assert not counts, counts
+    assert full.dim == sp.dim
+    gram = full.basis.conj().T @ sp.metric @ full.basis
+    assert np.abs(gram - np.eye(sp.dim)).max() <= 1e-12
+
+
 @pytest.mark.parametrize("index", range(len(INSTANCES)))
 def test_one_eigh_analyses_a_subspace(index, monkeypatch):
     """A range's inertia and parts read one eigh; its normal projection and the
@@ -473,10 +485,10 @@ def test_caller_supplied_projections_keep_their_validated_kind(index):
 
 def test_stated_rank_neither_returns_nor_replaces_the_kept_range(m4):
     b = m4.operator(np.diag([1.0, 1.0, 1.0, 0.0]))
-    stated = k.range_of(b, rank=2)
+    stated = k.subspace_from_spanning(m4, b.matrix, rank=2)
     kept = k.range_of(b)
     assert stated.dim == 2 and kept.dim == 3
-    assert k.range_of(b, rank=1).dim == 1
+    assert k.subspace_from_spanning(m4, b.matrix, rank=1).dim == 1
     assert k.range_of(b) is kept
 
 

@@ -243,6 +243,21 @@ def test_an_error_in_a_certificate_is_an_input_error(monkeypatch, capsys):
     assert err == "error: operator has non-finite entries\n"
 
 
+@pytest.mark.parametrize("value", [math.inf, complex(0.0, math.nan)], ids=["inf", "complex-nan"])
+def test_a_non_finite_report_value_is_an_input_error(value, monkeypatch, capsys):
+    """A report value that JSON cannot hold ends in exit code 1 and an error line."""
+
+    def solver(b, seed):
+        return SolveReport(True, None, {}, None, lambda: None, lambda: (value, {}), seed)
+
+    monkeypatch.setitem(cli.COMMANDS, "pinv", ("", cli._solver(solver, "b")))
+    monkeypatch.chdir(DATA)
+    assert cli.main(["pinv", "--space", "m2.json", "--b", "b1.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: report value "), err
+
+
 def test_cli_does_not_import_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", "import kreinls.cli, sys; sys.exit('scipy' in sys.modules)"],

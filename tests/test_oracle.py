@@ -87,6 +87,15 @@ def test_certify_min_deterministic(m4):
         assert np.array_equal(c1.witness, c2.witness)
 
 
+def _tangent_kernel(b):
+    """N(B#B) = N(U* G U) as certify_min finds it, U = B scaled to unit norm, above
+    twice the roundoff scale ||G||_F ||U||_F^2 of forming one product."""
+    g = b.space.gram
+    unit = scaled_to_unit(b.matrix, b.norm())
+    roundoff = 2 * np.linalg.norm(g) * np.linalg.norm(unit) ** 2
+    return nullspace_matrix(b.space, unit.conj().T @ g @ unit, roundoff)
+
+
 def _certify_min_loop(b, c, x0, trials=1000, seed=0):
     """Reference: certify_min with the same per-chunk draws, one competitor tested at a time."""
     sp = b.space
@@ -96,8 +105,7 @@ def _certify_min_loop(b, c, x0, trials=1000, seed=0):
     r0 = b.matrix @ x0.matrix - c.matrix
     v0 = herm(r0.conj().T @ g @ r0)
     floor = sp.gram_norm * (b.norm() * x0.norm() + c.norm()) ** 2
-    unit = scaled_to_unit(b.matrix, b.norm())
-    kernel = nullspace_matrix(sp, unit.conj().T @ g @ unit)
+    kernel = _tangent_kernel(b)
     cap = max(1, 65536 // (n * n))
 
     def draw(shape):
@@ -135,10 +143,13 @@ def _certify_min_loop(b, c, x0, trials=1000, seed=0):
     return Certificate(True, None, trials, float(min_seen) if trials else 0.0)
 
 
-def _oracle_instance(seed, n, p, cond=0.0, rank=None, solve=False, plant=0.0):
+def _oracle_instance(seed, n, p, cond=0.0, rank=None, solve=False, plant=0.0, neutral=False):
     """(B, C, X0) in a space of inertia (p, n - p) with Gram condition 10^(2 cond).
 
-    Columns of B from `rank` on are zero; with solve=True, X0 is the
+    Columns of B from `rank` on are zero. With neutral=True, B maps onto the
+    min(p, n - p) neutral directions (F+ + F-)/sqrt 2 of the frame F = Q |D|^(-1/2)
+    of G = Q D Q*, and C = B Gamma: B#B = 0 and B#C = 0, so every X is a minimum,
+    while U* G U is pure roundoff. With solve=True, X0 is the
     solve_ims solution (ValueError naming the reason when there is none),
     otherwise a Gaussian matrix. A nonzero `plant` adds that multiple of a
     Gaussian matrix to X0, which makes it non-minimal.
@@ -151,8 +162,12 @@ def _oracle_instance(seed, n, p, cond=0.0, rank=None, solve=False, plant=0.0):
     m = gaussian(rng, (n, n))
     if rank is not None:
         m[:, rank:] = 0.0
+    if neutral:
+        frame, t = q / np.sqrt(np.abs(d)), min(p, n - p)
+        m = (frame[:, :t] + frame[:, p : p + t]) / np.sqrt(2.0) @ m[:t]
     b = sp.operator(m)
-    c = sp.operator(gaussian(rng, (n, n)))
+    c = gaussian(rng, (n, n))
+    c = sp.operator(m @ c if neutral else c)
     if solve:
         rep = k.solve_ims(b, c)
         if not rep.feasible:
@@ -179,6 +194,7 @@ ORACLE_REFERENCE_CASES = [
     *[((1, 3, 3, 0.0, 2, True), t, "accept") for t in (0, 1, 2, 3, 7, 8, 1000)],
     ((2, 3, 3, 0.0, None, True), 1000, "accept"),  # N(B#B) = {0}
     ((2, 3, 2, 0.0, 0, False), 1000, "accept"),  # B = 0: N(B#B) is everything
+    ((5, 4, 2, 0.0, None, False, 0.0, True), 1000, "accept"),  # neutral R(B): so is N(B#B)
     ((3, 3, 1, 0.0, None, False), 1000, 1),
     ((4, 2, 2, 3.0, None, True, 1.0), 60, 1),  # nothing seen before the reject
     ((2, 2, 2, 3.0, None, True, 1e-4), 60, 2),  # first of the second chunk
@@ -211,6 +227,27 @@ def _assert_same_certificate(got, ref):
         assert got.witness is None
     else:
         assert np.array_equal(got.witness, ref.witness)
+
+
+def _neutral_range_operator(seed, n):
+    """B = ((F+ + F-)/sqrt 2) Gamma with R(B) neutral, in G = W* D W of inertia
+    (n - n // 2, n // 2), W = I + 0.3 Gaussian and F = W^-1, so F* G F = D."""
+    rng = np.random.default_rng(seed)
+    p, t = n - n // 2, n // 2
+    w = np.eye(n) + 0.3 * gaussian(rng, (n, n))
+    g = w.conj().T @ (np.concatenate([np.ones(p), -np.ones(t)])[:, None] * w)
+    sp = k.make_space((g + g.conj().T) / 2.0)
+    f = np.linalg.inv(w)
+    return sp.operator((f[:, :t] + f[:, p : p + t]) / np.sqrt(2.0) @ gaussian(rng, (t, n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**20), n=st.integers(2, 8))
+def test_tangent_competitors_span_the_kernel_of_a_neutral_range(seed, n):
+    """R(B) neutral: B#B = 0, so N(B#B) is the whole space, while U* G U is pure
+    roundoff. Decided above that roundoff's scale, the kernel certify_min draws its
+    tangent competitors from has all n columns; against U* G U's own s_1 it had none."""
+    assert _tangent_kernel(_neutral_range_operator(seed, n)).shape[1] == n
 
 
 @pytest.mark.parametrize("n", range(1, 9))

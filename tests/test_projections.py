@@ -176,7 +176,8 @@ def _companion_construction(s):
     s_reg = regular_part(s)
     q1 = k.selfadjoint_projection(s_reg).matrix
     iso = isotropic_part(s).basis
-    comp = k.subspace_from_spanning(sp, nullspace_matrix(sp, s_reg.frame))
+    roundoff = np.linalg.norm(s_reg.basis) * np.linalg.norm(sp.gram)
+    comp = k.subspace_from_spanning(sp, nullspace_matrix(sp, s_reg.frame, roundoff))
     wk, vk = np.linalg.eigh(comp.gram_restricted)
     local = vk.conj().T @ (comp.basis.conj().T @ (sp.metric @ iso))
     partner = comp.basis @ (vk @ (np.sign(wk)[:, None] * local))
@@ -214,7 +215,7 @@ def test_normal_projection_is_the_companion_construction(seed, shape, cond):
     # the rank of an idempotent is its trace: a roundoff singular value of order
     # eps cond(G) ||Q|| can survive the default rank cutoff
     assert round(q.matrix.trace().real) == s.dim
-    assert k.subspace_equal(k.range_of(q, rank=s.dim), s)
+    assert k.subspace_equal(k.subspace_from_spanning(sp, q.matrix, rank=s.dim), s)
     assert np.linalg.norm(q.matrix - _companion_construction(s), 2) <= bound
     # [J x, y] = <x, y> = 0 for x in S^o, y in S_reg, at the roundoff of the product
     reg, iso = regular_part(s).basis, isotropic_part(s).basis
