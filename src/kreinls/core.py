@@ -715,10 +715,11 @@ def subspace_sum(s1, s2):
 
 
 def subspace_intersection(s1, s2):
+    """S1 ∩ S2 from N(R [S1 | -S2]), decided at subspace_sum's floor for that frame."""
     if s1.dim == 0 or s2.dim == 0:
         return zero_subspace(s1.space)
-    sp, stacked = s1.space, np.hstack([s1.basis, -s2.basis])
-    coeff = nullspace_matrix(sp, stacked, sp._kappa * _spectral_bracket(stacked)[1])
+    sp, a = s1.space, np.hstack([s1.basis, -s2.basis])
+    coeff = nullspace_matrix(sp, sp._chol_r @ a, math.sqrt(sp.gram_norm) * _spectral_bracket(a)[1])
     return subspace_from_spanning(sp, s1.basis @ coeff[: s1.dim])
 
 

@@ -108,8 +108,8 @@ def certify_min(b, c, x0, trials=1000, seed=0):
     with np.errstate(over="ignore"):
         floor = sp.gram_norm * np.square(np.float64(b.norm()) * x0.norm() + c.norm())
     unit = scaled_to_unit(bm, b.norm())
-    # U* G U is two products: about twice one's roundoff scale ||G||_F ||U||_F^2
-    roundoff = 2 * np.linalg.norm(g) * np.linalg.norm(unit) ** 2
+    # U* G U: two products, twice one's roundoff ||G||_F ||U||_F^2, ||G||_F <= sqrt(n) ||G||_2
+    roundoff = 2 * np.sqrt(n) * sp.gram_norm * np.linalg.norm(unit) ** 2
     kernel = nullspace_matrix(sp, unit.conj().T @ g @ unit, roundoff)
     cap = max(1, _CHUNK_ENTRIES // (n * n))
 

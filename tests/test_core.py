@@ -422,6 +422,21 @@ def test_shared_intersection_is_found(m4):
     assert k.subspace_within(inter, k.subspace_from_spanning(m4, common))
 
 
+@pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7, 1e-12])
+def test_intersection_of_near_lines_agrees_with_their_sum_in_an_ill_conditioned_space(delta):
+    """G = diag(1e12, -1), cond G = 1e12: two metric-unit lines at pi/2 -+ delta
+    have standard bases (+-1e-6 sin delta, cos delta). Sum and intersection decide
+    the rank of the same stacked frame at the same scale, so their dimensions add
+    up to 2 however small delta is, and a line found lies in both."""
+    sp = k.make_space(np.diag([1e12, -1.0]))
+    s1 = k.subspace_from_spanning(sp, np.array([1e-6 * np.sin(delta), np.cos(delta)]))
+    s2 = k.subspace_from_spanning(sp, np.array([-1e-6 * np.sin(delta), np.cos(delta)]))
+    total, inter = k.subspace_sum(s1, s2), k.subspace_intersection(s1, s2)
+    assert total.dim + inter.dim == 2
+    assert total.dim == (2 if delta > 1e-9 else 1)
+    assert k.subspace_within(inter, s1) and k.subspace_within(inter, s2)
+
+
 # ---------------------------------------------------------------------------
 # range inclusion, factorization, neutrality
 # ---------------------------------------------------------------------------

@@ -89,11 +89,12 @@ def test_certify_min_deterministic(m4):
 
 def _tangent_kernel(b):
     """N(B#B) = N(U* G U) as certify_min finds it, U = B scaled to unit norm, above
-    twice the roundoff scale ||G||_F ||U||_F^2 of forming one product."""
-    g = b.space.gram
+    twice the roundoff scale ||G||_F ||U||_F^2 of forming one product, with
+    ||G||_F bounded by sqrt(n) ||G||_2."""
+    sp = b.space
     unit = scaled_to_unit(b.matrix, b.norm())
-    roundoff = 2 * np.linalg.norm(g) * np.linalg.norm(unit) ** 2
-    return nullspace_matrix(b.space, unit.conj().T @ g @ unit, roundoff)
+    roundoff = 2 * np.sqrt(sp.dim) * sp.gram_norm * np.linalg.norm(unit) ** 2
+    return nullspace_matrix(sp, unit.conj().T @ sp.gram @ unit, roundoff)
 
 
 def _certify_min_loop(b, c, x0, trials=1000, seed=0):
@@ -229,25 +230,30 @@ def _assert_same_certificate(got, ref):
         assert np.array_equal(got.witness, ref.witness)
 
 
-def _neutral_range_operator(seed, n):
-    """B = ((F+ + F-)/sqrt 2) Gamma with R(B) neutral, in G = W* D W of inertia
-    (n - n // 2, n // 2), W = I + 0.3 Gaussian and F = W^-1, so F* G F = D."""
-    rng = np.random.default_rng(seed)
-    p, t = n - n // 2, n // 2
-    w = np.eye(n) + 0.3 * gaussian(rng, (n, n))
-    g = w.conj().T @ (np.concatenate([np.ones(p), -np.ones(t)])[:, None] * w)
-    sp = k.make_space((g + g.conj().T) / 2.0)
-    f = np.linalg.inv(w)
-    return sp.operator((f[:, :t] + f[:, p : p + t]) / np.sqrt(2.0) @ gaussian(rng, (t, n)))
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**20), n=st.integers(2, 8))
-def test_tangent_competitors_span_the_kernel_of_a_neutral_range(seed, n):
+@given(seed=st.integers(0, 2**20), n=st.integers(2, 8), cond=st.floats(0.0, 3.0))
+def test_tangent_competitors_span_the_kernel_of_a_neutral_range(seed, n, cond):
     """R(B) neutral: B#B = 0, so N(B#B) is the whole space, while U* G U is pure
     roundoff. Decided above that roundoff's scale, the kernel certify_min draws its
     tangent competitors from has all n columns; against U* G U's own s_1 it had none."""
-    assert _tangent_kernel(_neutral_range_operator(seed, n)).shape[1] == n
+    b, _, _ = _oracle_instance(seed, n, n - n // 2, cond, neutral=True)
+    assert _tangent_kernel(b).shape[1] == n
+
+
+def test_the_tangent_kernel_floor_survives_a_huge_gram(monkeypatch):
+    """||G||_F of G = 1e200 diag(1, 2, 3) overflows a plain sum of squares, and an
+    infinite floor would make the tangent kernel everything. certify_min bounds it
+    by sqrt(n) ||G||_2 instead, so an invertible B#B leaves no tangent direction."""
+    sp = k.make_space(1e200 * np.diag([1.0, 2.0, 3.0]))
+    kernels = []
+
+    def spy(space, a, floor):
+        kernels.append(nullspace_matrix(space, a, floor))
+        return kernels[-1]
+
+    monkeypatch.setattr(k.oracle, "nullspace_matrix", spy)
+    assert k.certify_min(sp.eye(), sp.eye(), sp.eye(), trials=8).verdict
+    assert [kernel.shape[1] for kernel in kernels] == [0]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -3,10 +3,10 @@
 `KreinSpace._rank_of_singulars` is the one count of singular values above the
 rank cutoff. It is called by `metric_svd` (operators), `subspace_from_spanning`
 (columns) and `nullspace_matrix` (stacked frames); every other rank is read off
-what these keep. Each call states the floor, the roundoff scale of forming the
-factored matrix, as the second argument. No linter ships with the project, so
-the standard library's ast checks that no other function reaches for the
-count and that no call leaves the floor out.
+what these keep. The floor, the roundoff scale of forming the factored matrix,
+is a required argument, so no call can leave it out. No linter ships with the
+project, so the standard library's ast checks that no other function reaches
+for the count.
 """
 
 import ast
@@ -35,24 +35,6 @@ def _referrers(source, name):
     return found
 
 
-def _calls_without(source, name, count):
-    """Lines of the calls of `name` (plain or attribute) that do not pass exactly
-    `count` arguments; a starred argument or ** mapping counts as not passing them."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != name:
-            continue
-        unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
-            kw.arg is None for kw in node.keywords
-        )
-        if unpacked or len(node.args) + len(node.keywords) != count:
-            lines.append(node.lineno)
-    return sorted(lines)
-
-
 def test_ranks_are_counted_only_where_a_span_enters():
     found = set()
     for path in PACKAGE.glob("*.py"):
@@ -68,20 +50,3 @@ def test_the_check_finds_every_referrer():
         "kept = Space._count\n"
     )
     assert _referrers(source, "_count") == {"decided", "inner", "<module>"}
-
-
-def test_every_rank_count_states_its_floor():
-    for path in PACKAGE.glob("*.py"):
-        assert _calls_without(path.read_text(), "_rank_of_singulars", 2) == [], path.name
-
-
-def test_the_check_finds_every_count_without_a_floor():
-    source = (
-        "def bare(sp, s):\n    return sp._count(s)\n"
-        "def stated(sp, s):\n    return sp._count(s, 1.0)\n"
-        "def named(sp, s):\n    return sp._count(s, floor=1.0)\n"
-        "def unpacked(s):\n    return _count(*s)\n"
-        "kept = [_count(s) for s in ()]\n"
-        "nested = _count(_count(s), 0.0)\n"
-    )
-    assert _calls_without(source, "_count", 2) == [2, 8, 9, 10]
