@@ -71,14 +71,12 @@ def spectral_norm(a):
 
 def _spectral_bracket(a):
     """(lo, hi) around ||a||_2, from ||a||_F / sqrt(min(shape)) <= ||a||_2 <= ||a||_F.
-    The sum runs on a scaled by a power of two (exact), and the bracket is widened by
-    4 ulps per entry, more than its roundoff or an SVD's: it never contradicts the SVD."""
-    top = float(np.abs(a).max()) if a.size else 0.0
-    if not top:
-        return 0.0, 0.0
-    e = max(math.frexp(top)[1], -1021)  # 2^-e is finite for a subnormal top
-    b = a * math.ldexp(1.0, -e)
+    The sum runs on scaled_to_unit(a) (exact), and the bracket is widened by 4 ulps
+    per entry, more than its roundoff or an SVD's: it never contradicts the SVD."""
+    b, e = scaled_to_unit(a)
     fro = float(np.ldexp(math.sqrt(np.vdot(b, b).real), e))  # inf above the largest float
+    if not fro:  # a is zero or empty: a nonzero b has an entry of magnitude >= 1/2
+        return 0.0, 0.0
     slack = 4 * a.size * _EPS
     return fro * (1.0 - slack) / math.sqrt(min(a.shape)), fro * (1.0 + slack)
 
@@ -97,13 +95,13 @@ def norm_at_most(a, bound, *scales):
     return hi <= cutoff or (lo <= cutoff and spectral_norm(a) <= cutoff)
 
 
-def scaled_to_unit(a, norm):
-    """a / 2^e with 2^(e-1) <= norm < 2^e, or a itself when norm is 0.
-
-    Scaling by a power of two is exact, so a rank or zero test read off the
-    result is that of a, while its products cannot overflow.
-    """
-    return a * np.ldexp(1.0, -np.frexp(norm)[1])
+def scaled_to_unit(a):
+    """(a / 2^e, e) with 2^(e-1) <= max |a_ij| < 2^e, e >= -1021 so that 2^-e is
+    finite, and e = 0 for a zero a: the library's only choice of a power of two.
+    Scaling by one is exact, so a rank, zero or norm test read off the result is
+    that of a, while its products cannot overflow."""
+    e = max(math.frexp(float(np.abs(a).max(initial=0.0)))[1], -1021)
+    return a * math.ldexp(1.0, -e), e
 
 
 def ordered_eigh(a):
@@ -504,6 +502,8 @@ def subspace_from_spanning(space, columns, rank=None):
         a = a[:, None]
     if a.shape[0] != space.dim:
         raise DimensionMismatch("spanning columns have wrong height")
+    if not np.isfinite(a).all():
+        raise KreinError("spanning columns have non-finite entries")
     if a.shape[1] == 0:
         return _subspace_direct(space, np.zeros((space.dim, 0)))
     b = space._chol_r @ a
@@ -692,8 +692,7 @@ def subspace_within(inner, outer):
 def contains_columns(s, columns):
     """Columns lie in S: [basis | cols] spans dim S, with the block of columns scaled
     to a unit largest entry (scaled_to_unit, exact), so no scale of cols changes it."""
-    cols = np.asarray(columns, dtype=complex)
-    unit = scaled_to_unit(cols, np.abs(cols).max(initial=0.0))
+    unit = scaled_to_unit(np.asarray(columns, dtype=complex))[0]
     return subspace_from_spanning(s.space, np.column_stack([s.basis, unit])).dim == s.dim
 
 
@@ -747,7 +746,5 @@ def neutral_range(t):
 
     Tested on T scaled to a unit largest entry (scaled_to_unit): U#U cannot overflow.
     """
-    if not t.matrix.any():
-        return True
-    unit = Operator(t.space, scaled_to_unit(t.matrix, np.abs(t.matrix).max()))
+    unit = Operator(t.space, scaled_to_unit(t.matrix)[0])
     return norm_at_most((unit.adjoint() @ unit).matrix, lambda s: t.space.tol.num * s**2, unit)

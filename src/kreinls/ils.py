@@ -30,6 +30,7 @@ from .core import (
     subspace_from_spanning,
     sum_with_companion_contains,
 )
+from .errors import KreinError
 from .oracle import certify_min
 from .projections import normal_projection, selfadjoint_projection
 
@@ -121,6 +122,8 @@ def _no_value():
 def solve_problem(problem, b, c, seed=0):
     """Decide every condition (none short-circuits), join the failed ones' reasons by "+",
     and keep the value builder once: a report and its certificates share one value."""
+    if seed is not None and seed < 0:
+        raise KreinError("seed must be nonnegative, got %d" % seed)
     conditions = {name: test(b, c) for name, _, test in problem.conditions}
     reason = "+".join(why for name, why, _ in problem.conditions if not conditions[name])
     if reason:
@@ -244,11 +247,11 @@ STATIONARY = Problem((RANGE_INCLUSION,), _normal_equation_answer, _stationary_ce
 def regular_range_rank_check(b):
     """Independent regularity test: R(B#) = R(B#B) as a statement on their dimensions.
 
-    Both spans are read off B scaled to unit norm (scaled_to_unit), whose B#B
-    cannot overflow.
+    Both spans are read off B scaled to a unit largest entry (scaled_to_unit), whose
+    B#B cannot overflow.
     """
     sp = b.space
-    unit = sp.operator(scaled_to_unit(b.matrix, b.norm()))
+    unit = sp.operator(scaled_to_unit(b.matrix)[0])
     adj, square = unit.adjoint().matrix, (unit.adjoint() @ unit).matrix
     return subspace_from_spanning(sp, adj).dim == subspace_from_spanning(sp, square).dim
 

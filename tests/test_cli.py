@@ -57,6 +57,10 @@ ERROR_CASES = [
     ["solve-ils", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--tol-num", "nan"],
     ["solve-ils", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--tol-rank", "-1"],
     ["solve-ils", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--tol-num", "-1"],
+    # a negative seed, which the random generator would refuse with a ValueError
+    ["pinv", "--seed", "-1", "--space", "m2.json", "--b", "b1.json"],
+    ["verify", "--seed", "-1", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--x", "b1.json"],
+    ["oracle", "--seed", "-1", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--x", "b1.json"],
 ]
 
 

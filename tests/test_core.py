@@ -21,7 +21,13 @@ from conftest import (
     random_unitary_columns,
     subspace_choices,
 )
-from kreinls.core import _spectral_bracket, krein_orthogonal, norm_at_most, spectral_norm
+from kreinls.core import (
+    _spectral_bracket,
+    contains_columns,
+    krein_orthogonal,
+    norm_at_most,
+    spectral_norm,
+)
 from test_analysis import _count_factorizations
 from test_projections import SHAPES, _conditioned_space
 from test_properties import degenerate_instance
@@ -190,6 +196,15 @@ def test_operator_rejects_non_finite(m2):
         m2.operator(np.full((2, 2), np.nan))
     with pytest.raises(k.KreinError, match="non-finite"):
         k.solve_ims(m2.operator([[np.inf, 0.0], [0.0, 1.0]]), m2.eye())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spanning_columns_reject_non_finite(m2, bad):
+    cols = np.array([[1.0, bad], [0.0, 1.0]])
+    with pytest.raises(k.KreinError, match="non-finite"):
+        k.subspace_from_spanning(m2, cols)
+    with pytest.raises(k.KreinError, match="non-finite"), np.errstate(invalid="ignore"):
+        contains_columns(k.range_of(m2.eye()), cols)
 
 
 def test_operator_matrix_read_only(m2):
@@ -398,9 +413,10 @@ def test_sum_intersection_dimension_formula(m4):
 def test_neutral_line_plus_its_companion_is_the_line():
     """A neutral line S in a (1, 1) space is its own companion, so S + S^[⊥] = S.
 
-    subspace_sum decides the rank of [S | S^[⊥]] at dim eps s_1, and the trailing
-    singular value, roundoff of the metric factor R^-1, reaches past that cutoff
-    on a few of these 1000 seeds.
+    subspace_sum decides the rank of [S | S^[⊥]] above the roundoff scale of forming
+    R [S | S^[⊥]], ||R||_2 ||[S | S^[⊥]]||_F. The trailing singular value, roundoff
+    of the metric factor R^-1, stays below that cutoff on all 1000 seeds; at
+    dim eps s_1 alone it reached past it on a few.
     """
     sp = make_signature_space(1, 1, seed=21)
     wrong = []

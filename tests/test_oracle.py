@@ -88,11 +88,11 @@ def test_certify_min_deterministic(m4):
 
 
 def _tangent_kernel(b):
-    """N(B#B) = N(U* G U) as certify_min finds it, U = B scaled to unit norm, above
+    """N(B#B) = N(U* G U) as certify_min finds it, U = B scaled to a unit largest entry, above
     twice the roundoff scale ||G||_F ||U||_F^2 of forming one product, with
     ||G||_F bounded by sqrt(n) ||G||_2."""
     sp = b.space
-    unit = scaled_to_unit(b.matrix, b.norm())
+    unit = scaled_to_unit(b.matrix)[0]
     roundoff = 2 * np.sqrt(sp.dim) * sp.gram_norm * np.linalg.norm(unit) ** 2
     return nullspace_matrix(sp, unit.conj().T @ sp.gram @ unit, roundoff)
 
@@ -414,6 +414,18 @@ def test_certify_min_rejects_negative_trials(m2):
     with pytest.raises(k.KreinError):
         k.verify_ims(x0, b, c, trials=-1)
     assert k.certify_min(b, c, x0, trials=0) == k.Certificate(True, None, 0, 0.0)
+
+
+def test_a_negative_seed_is_an_error(m2):
+    """np.random.default_rng refuses a negative seed with a ValueError; the oracle and
+    every seeded report refuse it first, with a KreinError."""
+    b = m2.operator(np.diag([1.0, 0.0]))
+    c = m2.eye()
+    x0 = k.solve_ims(b, c).solution
+    with pytest.raises(k.KreinError, match="seed"):
+        k.certify_min(b, c, x0, trials=5, seed=-1)
+    with pytest.raises(k.KreinError, match="seed"):
+        k.krein_moore_penrose(b, seed=-1)
 
 
 def test_certify_min_non_finite_competitor_is_an_error(m2):

@@ -1,5 +1,7 @@
 """Properties of the verdicts: what leaves the mathematics unchanged leaves them unchanged."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +21,8 @@ from conftest import (
     random_unitary_columns,
     subspace_choices,
 )
+from kreinls.core import _norm_bracket, metric_svd
+from kreinls.ils import regular_range_rank_check
 from test_pinv import _degenerate_normal_nullspace_draws
 
 SPACES = [make_signature_space(p, q, seed=29 + 3 * p + q) for p, q in SIGNATURES]
@@ -249,6 +253,64 @@ def test_pseudo_inverse_is_the_classical_one_when_g_is_identity(seed, n, exp):
     got = k.core.pseudo_inverse(k.make_space(np.eye(n)).operator(m)).matrix
     want = np.linalg.pinv(m)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _scaled(t, e):
+    """T times 2^e, exact while every entry stays normal."""
+    return t.space.operator(math.ldexp(1.0, e) * t.matrix)
+
+
+def test_subnormal_operands_reach_every_reader_of_the_scaling_rule():
+    """At B times 1e-310 the largest entry is subnormal, where 2^-e of the largest
+    entry's exponent overflows; scaled_to_unit clamps e, so every reader answers.
+
+    The entries themselves lose bits there, so the answers are not compared with
+    the unscaled ones; at 2^+-1000 every entry stays normal and they are.
+    """
+    wrong = []
+    for seed in range(40):
+        b, c, _ = degenerate_instance(seed)
+        sp = b.space
+        tiny = sp.operator(1e-310 * b.matrix)
+        answers = [
+            k.range_inclusion(tiny, b),
+            k.neutral_range(tiny),
+            regular_range_rank_check(tiny),
+            k.certify_min(tiny, b, sp.eye(), trials=12).verdict,
+        ]
+        if not all(isinstance(a, bool) for a in answers):
+            wrong.append((seed, "1e-310"))
+        for e in (1000, -1000):
+            big = _scaled(b, e)
+            pairs = [
+                (k.neutral_range(big), k.neutral_range(b)),
+                (regular_range_rank_check(big), regular_range_rank_check(b)),
+            ]
+            if c is not None:
+                pairs.append((k.range_inclusion(c, big), k.range_inclusion(c, b)))
+                pairs.append((k.range_inclusion(_scaled(c, e), b), k.range_inclusion(c, b)))
+            if any(got != want for got, want in pairs):
+                wrong.append((seed, e))
+    assert not wrong, wrong
+
+
+def test_rank_margins_are_positive_on_degenerate_factors():
+    """B = S Γ has rank r = columns of S: metric_svd's s_r lies above the cutoff
+    _rank_of_singulars forms from its floor kappa ||B||_F, and s_(r+1) below it, at
+    B, 2^1000 B and 2^-1000 B. Both margins are in decades; neither may be 0."""
+    above, below = [], []
+    for seed in range(400):
+        s, _, b, _, _ = degenerate_factors(seed)
+        sp, r = b.space, s.shape[1]
+        for t in (b, _scaled(b, 1000), _scaled(b, -1000)):
+            sv = metric_svd(t)[1]
+            cutoff = sp._rank_tol * max(sv[0], sp._kappa * _norm_bracket(t)[1])
+            above.append((np.log10(sv[r - 1] / cutoff), seed))
+            if r < sp.dim:
+                with np.errstate(divide="ignore"):  # s_(r+1) may be an exact 0
+                    below.append((np.log10(cutoff / sv[r]), seed))
+    assert min(above)[0] > 0.0, min(above)
+    assert min(below)[0] > 0.0, min(below)
 
 
 def _near_cutoff_subspace(rng, sp):

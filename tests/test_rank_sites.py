@@ -6,7 +6,8 @@ rank cutoff. It is called by `metric_svd` (operators), `subspace_from_spanning`
 what these keep. The floor, the roundoff scale of forming the factored matrix,
 is a required argument, so no call can leave it out. No linter ships with the
 project, so the standard library's ast checks that no other function reaches
-for the count.
+for the count. It checks the same of `scaled_to_unit`, the one function that
+picks a power of two to scale by (the only referrer of `frexp`).
 """
 
 import ast
@@ -40,6 +41,14 @@ def test_ranks_are_counted_only_where_a_span_enters():
     for path in PACKAGE.glob("*.py"):
         found |= _referrers(path.read_text(), "_rank_of_singulars")
     assert found == RANK_SITES
+
+
+def test_one_function_picks_a_power_of_two():
+    """Every exact scaling reads scaled_to_unit, the one referrer of frexp."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        found |= _referrers(path.read_text(), "frexp")
+    assert found == {"scaled_to_unit"}
 
 
 def test_the_check_finds_every_referrer():
