@@ -10,6 +10,8 @@ and 17-significant-digit floats, so a fixed input + seed is byte-stable.
 import argparse
 import sys
 
+import numpy as np
+
 from . import matio
 from .core import (
     Operator,
@@ -226,6 +228,7 @@ def _build_parser():
     return parser
 
 
+@np.errstate(all="ignore")  # no numpy warning: a non-finite value ends in `error:`
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)

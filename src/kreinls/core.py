@@ -447,10 +447,12 @@ class Subspace:
     """Column span with a canonical Hilbert-orthonormal basis.
 
     frame is the row frame basis* G, and gram_restricted = frame basis is
-    basis* G basis exactly as stored; each is formed on first read and kept.
-    One eigh of the Gram, kept on first use, decides every sign question at
-    the space's neutral cutoff: the classification and the isotropic,
-    regular, positive and nonpositive parts.  Subspaces compare by identity.
+    basis* G basis exactly as stored; each is formed on first read and kept,
+    unless inherited: a part S U of S has frame U* (S's frame), and N(T#T) stacks
+    its rows over N(T)'s.  One eigh of the Gram, kept on first use, decides every
+    sign question at the space's neutral cutoff: the classification and the
+    isotropic, regular, positive and nonpositive parts.  Subspaces compare by
+    identity.
     """
 
     space: KreinSpace
@@ -477,15 +479,19 @@ class Subspace:
         return _classify_gram(restricted_eigh(self)[0], neutral_mask(self))
 
 
-def _subspace_direct(space, basis, complement=None):
+def _subspace_direct(space, basis, complement=None, **formed):
     """Wrap columns that are already <.,.>-orthonormal (no re-spanning).
 
-    complement: orthonormal columns spanning R S^⊥, when the construction has them.
+    complement: orthonormal columns spanning R S^⊥, when the construction has them;
+    formed: its frame and gram_restricted, kept as if read, when it has those.
     """
     basis = np.array(basis, dtype=complex).reshape(space.dim, -1)
     basis.setflags(write=False)
     s = Subspace(space, basis)
     object.__setattr__(s, "_complement", complement)
+    for value in formed.values():
+        value.setflags(write=False)
+    s.__dict__.update(formed)
     return s
 
 
@@ -542,10 +548,16 @@ def neutral_mask(s):
     return np.abs(restricted_eigh(s)[0]) <= s.space.neutral_cutoff()
 
 
+def _eigen_part(s, mask, complement=None):
+    """The span S U_part of the restricted eigenvectors in mask; its frame is U_part* (S's frame)."""
+    u = restricted_eigh(s)[1][:, mask]
+    return _subspace_direct(s.space, s.basis @ u, complement, frame=u.conj().T @ s.frame)
+
+
 @per_instance
 def isotropic_part(s):
     """S ∩ S^[⊥], read off the zero eigenvalues of the restricted Gram."""
-    return _subspace_direct(s.space, s.basis @ restricted_eigh(s)[1][:, neutral_mask(s)])
+    return _eigen_part(s, neutral_mask(s))
 
 
 @per_instance
@@ -553,11 +565,10 @@ def regular_part(s):
     """The span of the nonzero eigenvectors of the restricted Gram: S = S_reg [+] S^o.
 
     S_reg's metric complement is S^⊥ ⊕ S^o, kept when S keeps S^⊥."""
-    u, neutral = restricted_eigh(s)[1], neutral_mask(s)
     complement = getattr(s, "_complement", None)
     if complement is not None:
-        complement = np.hstack([complement, s.space._chol_r @ (s.basis @ u[:, neutral])])
-    return _subspace_direct(s.space, s.basis @ u[:, ~neutral], complement)
+        complement = np.hstack([complement, s.space._chol_r @ isotropic_part(s).basis])
+    return _eigen_part(s, ~neutral_mask(s), complement)
 
 
 def decompose_subspace(s):
@@ -567,11 +578,8 @@ def decompose_subspace(s):
     neutral_mask span S+; the rest (including neutral directions) span S-.
     Both [S+, S-] = 0 and <S+, S-> = 0 hold by construction.
     """
-    w, u = restricted_eigh(s)
-    pos = ~neutral_mask(s) & (w > 0)
-    s_plus = _subspace_direct(s.space, s.basis @ u[:, pos])
-    s_minus = _subspace_direct(s.space, s.basis @ u[:, ~pos])
-    return s_plus, s_minus
+    pos = ~neutral_mask(s) & (restricted_eigh(s)[0] > 0)
+    return _eigen_part(s, pos), _eigen_part(s, ~pos)
 
 
 @per_instance
@@ -622,10 +630,12 @@ class NormalEquation:
 
     With U_reg the kept basis of the regular part of R(T) and K = U_reg* G T,
     a C Krein-orthogonal to the isotropic part of R(T) gives T#(TX - C) = 0
-    iff K X = U_reg* G C, and N(T#T) = N(K).  K has full row rank dim S_reg,
-    so one SVD of K R^-1 (R the metric's Cholesky factor), its rank stated,
-    gives pinv = R^-1 (K R^-1)^+, X0 = pinv coupling C of minimum norm, and
-    the metric-orthonormal basis R^-1 V_null of N(T#T).
+    iff K X = U_reg* G C, and N(T#T) = N(K).  On the rank-r part of the kept
+    R T R^-1 = U s V* (metric_svd), K R^-1 = A V_r* for the dim S_reg x r matrix
+    A = coupling (R^-1 U_r, the kept basis of R(T)) diag(s_r), of full row rank.
+    One SVD of A, its rank stated, gives pinv = R^-1 V_r A^+, X0 = pinv coupling C
+    of minimum norm, and N(T#T) = E ⊕ N(T) for E = R^-1 V_r null(A): N(T) itself
+    on a regular R(T), the whole space on a neutral one.
     """
 
     coupling: np.ndarray  # U_reg* G: K = coupling T
@@ -635,14 +645,23 @@ class NormalEquation:
 
 @per_instance
 def normal_equation(t):
-    sp = t.space
-    coupling = regular_part(range_of(t)).frame
-    rinv = sp._chol_rinv
-    u, s, vh = np.linalg.svd(coupling @ t.matrix @ rinv)  # s.size = dim S_reg, stated
-    pinv = rinv @ (vh[: s.size].conj().T / s) @ u.conj().T
+    sp, rng, (_, s, vh, r) = t.space, range_of(t), metric_svd(t)
+    coupling, k = regular_part(rng).frame, regular_part(rng).dim
+    if not k:
+        return NormalEquation(coupling, np.zeros((sp.dim, 0), dtype=complex), full_subspace(sp))
+    u, sv, qh = np.linalg.svd((coupling @ rng.basis) * s[:r])  # A = U_A sv Q*, rank k stated
+    vq = vh[:r].conj().T @ qh.conj().T
+    rvq = sp._chol_rinv @ vq  # [R^-1 V_r Q_k | E]
+    pinv = (rvq[:, :k] / sv) @ u.conj().T
     pinv.setflags(write=False)
-    nullspace = _subspace_direct(sp, rinv @ vh[s.size :].conj().T, vh[: s.size].conj().T)
-    return NormalEquation(coupling, pinv, nullspace)
+    null = nullspace_of(t)
+    if k < r:  # E is metric-orthogonal to N(T): only E's rows of frame and Gram are formed
+        frame, basis = rvq[:, k:].conj().T @ sp.gram, np.hstack([rvq[:, k:], null.basis])
+        top = frame @ basis
+        gram = herm(np.vstack([top, np.hstack([top[:, r - k :].conj().T, null.gram_restricted])]))
+        frame = np.vstack([frame, null.frame])
+        null = _subspace_direct(sp, basis, vq[:, :k], frame=frame, gram_restricted=gram)
+    return NormalEquation(coupling, pinv, null)
 
 
 def normal_nullspace(t):

@@ -273,16 +273,20 @@ ITEM_CALLS = tuple(CALLS)[:9]
 # what each call factors, summed over INSTANCES, each run on a fresh operator in
 # ITEM_CALLS order: measured before B+ and D came from thin factors and the
 # values and Grams were formed on first read, which left every count as it was;
-# normal_projection then dropped the eigh and the solve of the regular companion
+# normal_projection then dropped the eigh and the solve of the regular companion;
+# normal_equation then read the kept metric SVD: it runs no SVD on a neutral R(B)
+# (22 of the 80), and on a regular R(B) (40) N(B#B) is N(B), whose eigh
+# krein_moore_penrose has kept (solve_ims svd 32 -> 23, solve_min_ims_norm
+# eigh 80 -> 40 and svd 48 -> 35)
 FACTORIZATION_BUDGET = {
     "range_of": {"svd": 80},
     "classify": {"eigh": 80},
     "orthogonal_companion": {},
     "normal_projection": {},
-    "solve_ims": {"svd": 32},
+    "solve_ims": {"svd": 23},
     "krein_moore_penrose": {"eigh": 80},
     "canonical_pair": {},
-    "solve_min_ims_norm": {"eigh": 80, "svd": 48},
+    "solve_min_ims_norm": {"eigh": 40, "svd": 35},
     "solve_immso": {},
 }
 
@@ -440,6 +444,41 @@ def test_thin_factors_match_the_three_product_forms(index):
     scale = max(1.0, b.norm()) ** 2 * max(1.0, d.norm()) ** 2
     assert (b @ d @ b - b).norm() <= ID_TOL * scale
     assert (d @ b @ d - d).norm() <= ID_TOL * scale
+
+
+def _normal_equation_cases():
+    """INSTANCES, then degenerate_instance seeds 0-399 (C = B where it has none)."""
+    yield from INSTANCES
+    for seed in range(400):
+        b, c, _ = degenerate_instance(seed)
+        yield b, (b if c is None else c)
+
+
+def _formed_normal_solution(b, c):
+    """X0 = R^-1 (K R^-1)^+ U_reg* G C with K R^-1 = U_reg* G B R^-1 formed and
+    factored in full: the reference for the normal equation read off the kept SVD."""
+    sp = b.space
+    coupling = k.core.regular_part(k.range_of(b)).basis.conj().T @ sp.gram
+    u, s, vh = np.linalg.svd(coupling @ b.matrix @ sp._chol_rinv)
+    pinv = sp._chol_rinv @ (vh[: s.size].conj().T / s) @ u.conj().T
+    return pinv @ (coupling @ c.matrix)
+
+
+@pytest.mark.parametrize("start", range(0, 480, 120))
+def test_normal_equation_reads_the_kept_analysis(start):
+    """N(B#B) is N(B) itself on a regular nonzero R(B), and E ⊕ N(B) of dimension
+    n - dim S_reg otherwise; X0 matches the formed K R^-1 to 1e-13 relative."""
+    for b, c in list(_normal_equation_cases())[start : start + 120]:
+        b, c = _fresh(b, c)
+        r, null_bb = k.range_of(b), normal_nullspace(b)
+        reg = k.core.regular_part(r).dim
+        if r.dim and r.classification.regular:
+            assert null_bb is k.nullspace_of(b)
+        else:
+            assert null_bb.dim == b.space.dim - reg
+            assert k.core.contains_columns(null_bb, k.nullspace_of(b).basis)
+        got = k.ils.normal_equation_solution(b, c).matrix
+        assert _relative_gap(got, _formed_normal_solution(b, c)) <= 1e-13
 
 
 def _residual_pair_kind(b, d):
