@@ -81,18 +81,29 @@ def _spectral_bracket(a):
     return fro * (1.0 - slack) / math.sqrt(min(a.shape)), fro * (1.0 + slack)
 
 
-def norm_at_most(a, bound, *scales):
-    """||a||_2 <= bound(||S_1||_2, ...) for operators S_i, bound nondecreasing in
-    each; a spectral norm is computed only when the brackets straddle the cutoff.
-    Each operator keeps its bracket."""
+def norm_at_most(a, coefficient, *terms):
+    """||a||_2 <= coefficient * sum over terms of the product of their factors' norms, the
+    roundoff scale of a sum of products (Higham, Accuracy and Stability, §3.5). A factor is
+    an Operator (its kept bracket, then its norm) or a number; no norm is factored far from
+    the cutoff."""
     lo, hi = _spectral_bracket(a)
-    ends = [_norm_bracket(s) for s in scales]
-    if hi <= bound(*(e[0] for e in ends)):
-        return True
-    if lo > bound(*(e[1] for e in ends)):
-        return False
-    cutoff = bound(*(s.norm() for s in scales))
+    low = high = 0.0
+    for term in terms:
+        t_lo = t_hi = coefficient
+        for f in term:
+            f_lo, f_hi = _norm_bracket(f) if isinstance(f, Operator) else (f, f)
+            t_lo, t_hi = t_lo * f_lo, t_hi * f_hi
+        low, high = low + t_lo, high + t_hi
+    if hi <= low or lo > high:
+        return hi <= low
+    norms = ([f.norm() if isinstance(f, Operator) else f for f in term] for term in terms)
+    cutoff = sum(math.prod(term, start=coefficient) for term in norms)
     return hi <= cutoff or (lo <= cutoff and spectral_norm(a) <= cutoff)
+
+
+def negligible(residual, *terms):
+    """norm_at_most at tol.num of the first factor's space: the one norm test of tol.num."""
+    return norm_at_most(residual, terms[0][0].space.tol.num, *terms)
 
 
 def scaled_to_unit(a):
@@ -174,7 +185,7 @@ class KreinSpace:
         hermitian = herm(gram)
         w, v = ordered_eigh(hermitian)
         scale = float(np.max(np.abs(w)))  # ||G||_2, read off the eigh of its Hermitian part
-        if not norm_at_most(gram - gram.conj().T, lambda: SYM_TOL * scale):
+        if not norm_at_most(gram - gram.conj().T, SYM_TOL, (scale,)):
             raise NotHermitian("gram matrix is not Hermitian within tolerance")
         gram = hermitian
         self._rank_tol = self.tol.rank if self.tol.rank is not None else n * _EPS
@@ -342,7 +353,10 @@ def metric_svd(t):
     least kappa times the upper end of T's kept norm bracket.
     """
     sp = t.space
-    u, s, vh = np.linalg.svd(sp._chol_r @ t.matrix @ sp._chol_rinv)
+    m = sp._chol_r @ t.matrix @ sp._chol_rinv
+    if not np.isfinite(m).all():
+        raise KreinError("R T R^-1 overflows: the operator is too large for the metric")
+    u, s, vh = np.linalg.svd(m)
     for a in (u, s, vh):
         a.setflags(write=False)
     return u, s, vh, sp._rank_of_singulars(s, sp._kappa * _norm_bracket(t)[1])
@@ -719,8 +733,7 @@ def krein_orthogonal(frame, c):
     """R(C) is Krein-orthogonal to the span of a metric-orthonormal basis W, given
     as its row frame W* G, up to the neutral cutoff times ||C||_2, which is
     factored only within sqrt(n) of the cutoff."""
-    cutoff = c.space.neutral_cutoff()
-    return norm_at_most(frame @ c.matrix, lambda s: cutoff * s, c)
+    return norm_at_most(frame @ c.matrix, c.space.neutral_cutoff(), (c,))
 
 
 def sum_with_companion_contains(s, c):
@@ -766,4 +779,4 @@ def neutral_range(t):
     Tested on T scaled to a unit largest entry (scaled_to_unit): U#U cannot overflow.
     """
     unit = Operator(t.space, scaled_to_unit(t.matrix)[0])
-    return norm_at_most((unit.adjoint() @ unit).matrix, lambda s: t.space.tol.num * s**2, unit)
+    return negligible((unit.adjoint() @ unit).matrix, (unit, unit))

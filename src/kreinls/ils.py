@@ -20,7 +20,7 @@ from .core import (
     full_subspace,
     herm,
     isotropic_part,
-    norm_at_most,
+    negligible,
     normal_equation,
     normal_nullspace,
     nullspace_of,
@@ -203,12 +203,8 @@ def _extremal_certificates(b, c, x0, value, seed):
     certs["value_formula_residual"] = _value_formula_residual(value, c, q)
     if not regular:  # Y = BX0 - QC lies in S^o: (I - S^o S^o* M) Y is roundoff
         y, iso = (b @ x0 - q @ c).matrix, isotropic_part(range_sub).basis
-        num = b.space.tol.num
-        certs["isotropic_containment"] = norm_at_most(
-            y - iso @ (iso.conj().T @ (b.space.metric @ y)),
-            lambda nb, nx, nq, nc: num * (nb * nx + nq * nc),
-            b, x0, q, c,
-        )
+        residual = y - iso @ (iso.conj().T @ (b.space.metric @ y))
+        certs["isotropic_containment"] = negligible(residual, (b, x0), (q, c))
     return (b.adjoint() @ (b @ x0 - c)).norm(), certs
 
 
@@ -321,11 +317,10 @@ def solve_imax(b, c, seed=0):
 def verify_ims(x, b, c, trials=200, seed=0):
     """Accept X iff the normal equation holds and sampling finds no better competitor.
 
-    The normal equation holds when ||B#(BX - C)|| <= tol.num ||B|| (||B|| ||X|| + ||C||),
-    decided by norm_at_most: a spectral norm is factored only near the cutoff.
+    The normal equation holds when B#(BX - C) is negligible against the roundoff scale
+    of forming it, ||B|| ||B|| ||X|| + ||B|| ||C||; a norm is factored only near the cutoff.
     """
-    num = b.space.tol.num
     residual = (b.adjoint() @ (b @ x - c)).matrix
-    if not norm_at_most(residual, lambda nb, nx, nc: num * nb * (nb * nx + nc), b, x, c):
+    if not negligible(residual, (b, b, x), (b, c)):
         return False
     return certify_min(b, c, x, trials=trials, seed=seed).verdict

@@ -15,8 +15,8 @@ from .core import (
     Operator,
     decompose_subspace,
     herm,
+    negligible,
     neutral_range,
-    norm_at_most,
     range_of,
     sum_with_companion_contains,
 )
@@ -72,11 +72,8 @@ def verify_immso(z0, b, c, j=None):
         metric = herm(sp.gram @ jm)
     z1 = normal_equation_solution(b, c, metric=metric)
     gap = b @ (z0 - z1)
-    # a gap that is roundoff relative to the problem data is a zero gap
-    num = sp.tol.num
-    if norm_at_most(gap.matrix, lambda nb, *nz: num * nb * max(*nz, 1.0), b, z0, z1):
-        return True
-    return neutral_range(gap)
+    # a gap within the roundoff of forming B (Z0 - Z1) is a zero gap
+    return negligible(gap.matrix, (b, z0), (b, z1)) or neutral_range(gap)
 
 
 def random_fundamental_symmetry(space, rng, scale=0.3):

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SYM_TOL, herm, norm_at_most, nullspace_matrix, scaled_to_unit, spectral_norm
+from .core import SYM_TOL, herm, negligible, norm_at_most, nullspace_matrix, scaled_to_unit
+from .core import spectral_norm
 from .errors import KreinError, SpaceMismatch
 
 
@@ -35,8 +36,8 @@ class Certificate:
 def is_krein_positive(t):
     """[Tx, x] >= 0 for all x: G T Hermitian with nonnegative spectrum.
 
-    Both tests scale with ||G|| ||T||, that of the roundoff in forming G T,
-    and decide through norm_at_most: ||T|| is factored only near a cutoff."""
+    Both tests scale with ||G|| ||T||, that of the roundoff in forming G T: the
+    skew part at SYM_TOL, the smallest eigenvalue through negligible."""
     sp = t.space
     if not t.matrix.any():
         return Certificate(True, None, 0, 0.0)
@@ -44,13 +45,12 @@ def is_krein_positive(t):
     skew = (gt - gt.conj().T) / 2.0
     w, v = np.linalg.eigh(herm(gt))
     lam_min = float(w[0])
-    gn, num = sp.gram_norm, sp.tol.num
-    if not norm_at_most(skew, lambda nt: SYM_TOL * (gn * nt), t):
+    if not norm_at_most(skew, SYM_TOL, (t, sp.gram_norm)):
         # the form [Tx, x] is not even real-valued; witness the worst direction
         ws, vs = np.linalg.eigh(skew / 1j)
         pick = int(np.argmax(np.abs(ws)))
         return Certificate(False, vs[:, pick].copy(), 0, lam_min)
-    if lam_min >= 0.0 or norm_at_most(np.array([lam_min]), lambda nt: num * (gn * nt), t):
+    if lam_min >= 0.0 or negligible(np.array([lam_min]), (t, sp.gram_norm)):
         return Certificate(True, None, 0, lam_min)
     return Certificate(False, v[:, 0].copy(), 0, lam_min)
 
@@ -169,8 +169,7 @@ def hilbert_limit_check(b, c=None, seed=0):
     attained least-squares value the classical residual Gram matrix.
     """
     sp = b.space
-    eye = np.eye(sp.dim)
-    if not norm_at_most(sp.gram - eye, lambda: SYM_TOL):
+    if not norm_at_most(sp.gram - np.eye(sp.dim), SYM_TOL, (1.0,)):
         raise SpaceMismatch("hilbert_limit_check requires gram = I")
     from .ils import solve_ims
     from .pinv import krein_moore_penrose

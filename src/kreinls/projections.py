@@ -17,14 +17,14 @@ from .core import (
     decompose_subspace,
     isotropic_part,
     neutral_mask,
-    norm_at_most,
+    negligible,
     per_instance,
     pseudo_inverse,
     range_of,
     restricted_eigh,
     subspace_from_spanning,
 )
-from .errors import BadProjection, NotComplementary, NotRegular, NotSelfadjoint
+from .errors import BadProjection, DimensionMismatch, NotComplementary, NotRegular, NotSelfadjoint
 
 
 class ProjectionKind(str, Enum):
@@ -75,8 +75,7 @@ def ando_split(q):
     Q+Q- = Q-Q+ = 0; the parts are pinned by the space's cached fundamental
     decomposition.
     """
-    op = q.op
-    if not norm_at_most((op.adjoint() - op).matrix, lambda s: op.space.tol.num * max(1, s), op):
+    if not negligible((q.op.adjoint() - q.op).matrix, (q.op,), (1.0,)):
         raise NotSelfadjoint("ando_split needs a selfadjoint projection")
     s_plus, s_minus = decompose_subspace(q.range_sub)
     return selfadjoint_projection(s_plus), selfadjoint_projection(s_minus)
@@ -109,27 +108,27 @@ def _normal_operator(s):
 
 
 def companion_identity_check(q, y):
-    """Whether Q#(I - Q)y = 0, to tol.num max(1, ||Q||)^2 ||y||, the roundoff scale of
-    forming it; equivalent to y ∈ S + S^[⊥] for normal Q."""
-    sp = q.op.space
-    y = np.asarray(y, dtype=complex).reshape(sp.dim, 1)
+    """Whether Q#(I - Q)y = 0, negligible against ||Q||^2 ||y|| + ||y||, the roundoff
+    scale of forming it; equivalent to y ∈ S + S^[⊥] for normal Q."""
+    sp, y = q.op.space, np.asarray(y, dtype=complex)
+    if y.size != sp.dim:
+        raise DimensionMismatch("y has %d entries in a space of dim %d" % (y.size, sp.dim))
+    y, size = y.reshape(sp.dim, 1), float(np.linalg.norm(y))
     residual = q.op.adjoint().matrix @ (y - q.matrix @ y)
-    size, num = float(np.linalg.norm(y)), sp.tol.num
-    return norm_at_most(residual, lambda s: num * max(1.0, s) ** 2 * size, q.op)
+    return negligible(residual, (q.op, q.op, size), (size,))
 
 
 def projection_from_matrix(space, matrix):
     """Wrap a hand-built idempotent, inferring the strongest kind."""
     op = Operator(space, matrix)
-    num = space.tol.num
-    if not norm_at_most((op @ op - op).matrix, lambda s: num * max(1.0, s) ** 2, op):
+    if not negligible((op @ op - op).matrix, (op, op), (1.0,)):
         raise BadProjection("matrix is not idempotent")
     adj = op.adjoint()
     # normality is tested on every matrix: a selfadjointness residual within
     # tolerance does not bound the commutator within its own
-    if not norm_at_most((op @ adj - adj @ op).matrix, lambda s: num * max(1.0, s) ** 2, op):
+    if not negligible((op @ adj - adj @ op).matrix, (op, op), (1.0,)):
         kind = ProjectionKind.OBLIQUE
-    elif norm_at_most((adj - op).matrix, lambda s: num * max(1.0, s), op):
+    elif negligible((adj - op).matrix, (op,), (1.0,)):
         kind = ProjectionKind.SELFADJOINT
     else:
         kind = ProjectionKind.NORMAL

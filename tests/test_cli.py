@@ -264,21 +264,25 @@ def test_a_non_finite_report_value_is_an_input_error(value, monkeypatch, capsys)
 
 
 def test_overflow_ends_in_an_error_line_without_a_numpy_warning(tmp_path, capsys):
-    """The adjoint of B x 1e300 in the space G x 1e-150 overflows: the run ends in
-    exit code 1 with stderr starting at its error line, and numpy warns nothing."""
+    """B x 1e300 overflows in the space G x 1e-150 (the adjoint) and in G x 1e150 (R B R^-1,
+    which every analysis of B reads): each run ends in exit code 1 with stderr starting
+    at its error line, and numpy warns nothing."""
     gram = matio.matrix_from_json(json.loads((DATA / "m2.json").read_text())["gram"])
     b = matio.load_matrix(DATA / "b3.json")
-    (tmp_path / "space.json").write_text(json.dumps({"gram": matio.matrix_to_json(gram * 1e-150)}))
     (tmp_path / "b.json").write_text(json.dumps(matio.matrix_to_json(b * 1e300)))
-    argv = ["adjoint", "--space", str(tmp_path / "space.json"), "--b", str(tmp_path / "b.json")]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli.main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: "), err
-    assert "RuntimeWarning" not in err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    cases = [("adjoint", 1e-150), ("solve-ils", 1e150), ("pinv", 1e150), ("geninv", 1e150)]
+    for command, scale in cases:
+        space = {"gram": matio.matrix_to_json(gram * scale)}
+        (tmp_path / "space.json").write_text(json.dumps(space))
+        argv = [command, "--space", str(tmp_path / "space.json"), "--b", str(tmp_path / "b.json")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 1, command
+        out, err = capsys.readouterr()
+        assert out == "", command
+        assert err.startswith("error: "), err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
 
 
 def test_cli_does_not_import_scipy():

@@ -79,12 +79,15 @@ def test_verify_immso_rejects(m4):
 
 @pytest.mark.parametrize("scale", [1e-12, 1e12])
 def test_verify_immso_rejects_at_every_scale(m4, scale):
-    """Z0 + I leaves the gap B, which is not neutral, however small or large B and C are."""
+    """Z0 + I leaves the gap B, which is not neutral, however small or large B and C are;
+    Z0 = 0 leaves the positive gap B Z1, however small C is against B."""
     b = m4.operator(scale * np.diag([1.0, 1.0, 0.0, 0.0]))
     c = m4.operator(scale * np.eye(4))
     z_good = k.solve_immso(b, c).solution
     assert k.verify_immso(z_good, b, c)
     assert not k.verify_immso(z_good + m4.eye(), b, c)
+    assert not k.verify_immso(m4.zero(), b, c)
+    assert not k.verify_immso(m4.zero(), b, c * 1e-12)
 
 
 def test_verify_immso_infeasible_raises(m2):

@@ -249,6 +249,16 @@ def test_companion_identity_holds_on_a_nearly_neutral_regular_line(square, size)
     assert k.companion_identity_check(k.selfadjoint_projection(s), size * v)
 
 
+@pytest.mark.parametrize("shape", [(2,), (3, 2), (4, 1)])
+def test_companion_identity_rejects_a_malformed_y(shape):
+    """A y without one entry per coordinate is a DimensionMismatch, not a numpy error."""
+    sp = k.make_space(np.diag([1.0, 1.0, -1.0]))
+    q = k.normal_projection(k.subspace_from_spanning(sp, np.eye(3)[:, :1]))
+    assert k.companion_identity_check(q, np.ones((1, 3)))  # a row is one entry per coordinate
+    with pytest.raises(k.DimensionMismatch):
+        k.companion_identity_check(q, np.ones(shape))
+
+
 def test_projection_from_matrix_kinds(m2, m4):
     sa = k.projection_from_matrix(m2, np.diag([1.0, 0.0]))
     assert sa.kind is k.ProjectionKind.SELFADJOINT

@@ -111,6 +111,27 @@ def test_certificates_are_scale_invariant(seed, exp):
             assert _boolean_certificates(got) == _boolean_certificates(want), solve.__name__
 
 
+def test_verify_immso_is_scale_invariant():
+    """Scaling C and the candidate together by 2^e (exact) leaves verify_immso's verdict on
+    X0, X0 + 1e-3 Gaussian and 0 unchanged: its zero-gap test is negligible against the
+    roundoff of forming B (Z0 - Z1), which scales with them."""
+    changed, checked = [], 0
+    for seed in range(100):
+        b, c, _ = degenerate_instance(seed)
+        if c is None or not k.solve_immso(b, c).feasible:
+            continue
+        sp, x0 = b.space, k.solve_immso(b, c).solution.matrix
+        noise = 1e-3 * gaussian(np.random.default_rng(seed), x0.shape)
+        for z in (x0, x0 + noise, np.zeros_like(x0)):
+            want = k.verify_immso(sp.operator(z), b, c)
+            for e in (-80, -40, -20, 20, 40):
+                f = 2.0**e
+                checked += 1
+                if k.verify_immso(sp.operator(f * z), b, sp.operator(f * c.matrix)) != want:
+                    changed.append((seed, e))
+    assert (checked, changed) == (825, [])
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**20),

@@ -7,7 +7,9 @@ what these keep. The floor, the roundoff scale of forming the factored matrix,
 is a required argument, so no call can leave it out. No linter ships with the
 project, so the standard library's ast checks that no other function reaches
 for the count. It checks the same of `scaled_to_unit`, the one function that
-picks a power of two to scale by (the only referrer of `frexp`).
+picks a power of two to scale by (the only referrer of `frexp`), and of
+`negligible`, the one norm test that reads `tol.num`: every other norm threshold
+is a coefficient and terms passed to `norm_at_most`, never a callable.
 """
 
 import ast
@@ -49,6 +51,36 @@ def test_one_function_picks_a_power_of_two():
     for path in PACKAGE.glob("*.py"):
         found |= _referrers(path.read_text(), "frexp")
     assert found == {"scaled_to_unit"}
+
+
+def test_one_norm_test_reads_the_residual_tolerance():
+    """`num` is read by negligible and certify_min's batched eigenvalue test; the rest
+    are the Tolerances field, its validation and the CLI option that sets it."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        found |= {(path.stem, owner) for owner in _referrers(path.read_text(), "num")}
+    assert found == {
+        ("core", "negligible"),
+        ("core", "__post_init__"),
+        ("core", "<module>"),
+        ("oracle", "certify_min"),
+        ("cli", "main"),
+    }
+
+
+def test_no_norm_test_takes_a_callable():
+    """Every norm threshold is stated as a coefficient and terms, never as a lambda."""
+    calls = [
+        (path.name, node)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rsplit(".", 1)[-1] in {"norm_at_most", "negligible"}
+    ]
+    assert calls
+    for name, call in calls:
+        args = [*call.args, *(kw.value for kw in call.keywords)]
+        assert not any(isinstance(a, ast.Lambda) for a in args), (name, call.lineno)
 
 
 def test_the_check_finds_every_referrer():
