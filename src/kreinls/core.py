@@ -84,21 +84,28 @@ def _spectral_bracket(a):
 def norm_at_most(a, coefficient, *terms):
     """||a||_2 <= coefficient * sum over terms of the product of their factors' norms, the
     roundoff scale of a sum of products (Higham, Accuracy and Stability, §3.5). A factor is
-    an Operator (its kept bracket, then its norm) or a number; no norm is factored far from
-    the cutoff."""
+    an Operator or an array (its bracket, then its norm; an Operator's are kept) or a number;
+    no norm is factored far from the cutoff."""
     lo, hi = _spectral_bracket(a)
     low = high = 0.0
     for term in terms:
         t_lo = t_hi = coefficient
         for f in term:
-            f_lo, f_hi = _norm_bracket(f) if isinstance(f, Operator) else (f, f)
+            f_lo, f_hi = _factor_norm(f, bracket=True)
             t_lo, t_hi = t_lo * f_lo, t_hi * f_hi
         low, high = low + t_lo, high + t_hi
     if hi <= low or lo > high:
         return hi <= low
-    norms = ([f.norm() if isinstance(f, Operator) else f for f in term] for term in terms)
-    cutoff = sum(math.prod(term, start=coefficient) for term in norms)
+    cutoff = sum(math.prod(map(_factor_norm, term), start=coefficient) for term in terms)
     return hi <= cutoff or (lo <= cutoff and spectral_norm(a) <= cutoff)
+
+
+def _factor_norm(f, bracket=False):
+    if isinstance(f, Operator):
+        return _norm_bracket(f) if bracket else f.norm()
+    if isinstance(f, np.ndarray):
+        return _spectral_bracket(f) if bracket else spectral_norm(f)
+    return (f, f) if bracket else f
 
 
 def negligible(residual, *terms):
@@ -336,6 +343,14 @@ class Operator:
     @per_instance
     def norm(self):
         return spectral_norm(self.matrix)
+
+
+def same_space(*items):
+    """The one space the items other than None are bound to; SpaceMismatch if they are not."""
+    spaces = {x.space for x in items if x is not None}
+    if len(spaces) > 1:
+        raise SpaceMismatch("operands bound to different spaces")
+    return spaces.pop()
 
 
 @per_instance
@@ -694,12 +709,10 @@ def principal_angles(s1, s2):
     (the arccos of a cosine loses half the digits near zero; the combined
     form stays accurate at both ends).
     """
-    if s1.space is not s2.space:
-        raise SpaceMismatch("subspaces live in different spaces")
+    r = same_space(s1, s2)._chol_r
     k = min(s1.dim, s2.dim)
     if k == 0:
         return np.zeros(0)
-    r = s1.space._chol_r
     u1 = r @ s1.basis
     u2 = r @ s2.basis
     f = u1.conj().T @ u2
@@ -742,14 +755,14 @@ def sum_with_companion_contains(s, c):
 
 
 def subspace_sum(s1, s2):
-    return subspace_from_spanning(s1.space, np.hstack([s1.basis, s2.basis]))
+    return subspace_from_spanning(same_space(s1, s2), np.hstack([s1.basis, s2.basis]))
 
 
 def subspace_intersection(s1, s2):
     """S1 ∩ S2 from N(R [S1 | -S2]), decided at subspace_sum's floor for that frame."""
+    sp, a = same_space(s1, s2), np.hstack([s1.basis, -s2.basis])
     if s1.dim == 0 or s2.dim == 0:
-        return zero_subspace(s1.space)
-    sp, a = s1.space, np.hstack([s1.basis, -s2.basis])
+        return zero_subspace(sp)
     coeff = nullspace_matrix(sp, sp._chol_r @ a, math.sqrt(sp.gram_norm) * _spectral_bracket(a)[1])
     return subspace_from_spanning(sp, s1.basis @ coeff[: s1.dim])
 
@@ -760,8 +773,7 @@ def subspace_intersection(s1, s2):
 
 def range_inclusion(z, y):
     """R(Z) ⊆ R(Y): Z's columns lie in Y's kept range."""
-    if z.space is not y.space:
-        raise SpaceMismatch("operators bound to different spaces")
+    same_space(z, y)
     return contains_columns(range_of(y), z.matrix)
 
 

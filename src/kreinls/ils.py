@@ -26,8 +26,8 @@ from .core import (
     nullspace_of,
     pseudo_inverse_factors,
     range_of,
-    scaled_to_unit,
-    subspace_from_spanning,
+    regular_part,
+    same_space,
     sum_with_companion_contains,
 )
 from .errors import KreinError
@@ -124,6 +124,7 @@ def solve_problem(problem, b, c, seed=0):
     and keep the value builder once: a report and its certificates share one value."""
     if seed is not None and seed < 0:
         raise KreinError("seed must be nonnegative, got %d" % seed)
+    same_space(b, c)
     conditions = {name: test(b, c) for name, _, test in problem.conditions}
     reason = "+".join(why for name, why, _ in problem.conditions if not conditions[name])
     if reason:
@@ -241,15 +242,9 @@ STATIONARY = Problem((RANGE_INCLUSION,), _normal_equation_answer, _stationary_ce
 
 
 def regular_range_rank_check(b):
-    """Independent regularity test: R(B#) = R(B#B) as a statement on their dimensions.
-
-    Both spans are read off B scaled to a unit largest entry (scaled_to_unit), whose
-    B#B cannot overflow.
-    """
-    sp = b.space
-    unit = sp.operator(scaled_to_unit(b.matrix)[0])
-    adj, square = unit.adjoint().matrix, (unit.adjoint() @ unit).matrix
-    return subspace_from_spanning(sp, adj).dim == subspace_from_spanning(sp, square).dim
+    """The remark R(B#) = R(B#B) on dimensions, read off the kept analysis: rank B, and
+    dim S_reg of S = R(B), as B# kills the isotropic part S^o and is injective on S_reg."""
+    return regular_part(range_of(b)).dim == range_of(b).dim
 
 
 def _inverse_answer(b, c):

@@ -18,9 +18,10 @@ from .core import (
     negligible,
     neutral_range,
     range_of,
+    same_space,
     sum_with_companion_contains,
 )
-from .errors import InfeasibleInstance, SpaceMismatch
+from .errors import InfeasibleInstance
 from .ils import indefinite_inverse_in_range, krein_square, normal_equation_solution
 
 
@@ -63,7 +64,7 @@ def verify_immso(z0, b, c, j=None):
     alternative symmetry J' may be supplied (operator or matrix) to run
     the check in that decomposition's metric.
     """
-    sp = b.space
+    sp = same_space(z0, b, c, j if isinstance(j, Operator) else None)
     if not sum_with_companion_contains(range_of(b), c):
         raise InfeasibleInstance("stationary problem has no solution for this right-hand side")
     metric = None
@@ -101,8 +102,7 @@ def minmax_value_identity(b, c):
     part then maximize over the negative one, and the reverse. A zero part
     makes its stage vacuous (the corresponding variable is fixed at 0).
     """
-    if b.space is not c.space:
-        raise SpaceMismatch("operators live on different spaces")
+    same_space(b, c)
     if not sum_with_companion_contains(range_of(b), c):
         raise InfeasibleInstance("min-max problem has no solution for this right-hand side")
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SYM_TOL, herm, negligible, norm_at_most, nullspace_matrix, scaled_to_unit
-from .core import spectral_norm
+from .core import SYM_TOL, herm, negligible, norm_at_most, nullspace_matrix, same_space
+from .core import scaled_to_unit, spectral_norm
 from .errors import KreinError, SpaceMismatch
 
 
@@ -99,7 +99,7 @@ def certify_min(b, c, x0, trials=1000, seed=0):
         raise KreinError("trials must be nonnegative, got %d" % trials)
     if seed is not None and seed < 0:
         raise KreinError("seed must be nonnegative, got %d" % seed)
-    sp = b.space
+    sp = same_space(b, c, x0)
     n = sp.dim
     g = sp.gram
     rng = np.random.default_rng(seed)

@@ -19,6 +19,7 @@ from .core import (
     hilbert_pinv,
     isotropic_part,
     krein_orthogonal,
+    negligible,
     normal_equation,
     normal_nullspace,
     nullspace_of,
@@ -27,7 +28,7 @@ from .core import (
     pseudo_inverse_factors,
     range_of,
     regular_part,
-    subspace_equal,
+    same_space,
     subspace_from_spanning,
     zero_subspace,
 )
@@ -43,12 +44,7 @@ from .ils import (
     solve_problem,
     value_spectrum,
 )
-from .projections import (
-    Projection,
-    ProjectionKind,
-    normal_projection,
-    projection_from_matrix,
-)
+from .projections import Projection, ProjectionKind, normal_projection, projection_kind
 
 
 class GeneralizedInverseKind(str, Enum):
@@ -73,29 +69,29 @@ def one_two_inverse(b):
 def one_two_pair(b):
     """Wrap the canonical {1,2}-inverse with its projection pair.
 
-    BD and I - DB are metric-orthogonal projections with the right ranges
-    but in general fail normality in the indefinite product, hence the
-    OneTwo kind.
+    BD = BB+ and I - DB = I - B+B are the metric-orthogonal projections onto the kept
+    range_of(b) and nullspace_of(b); in general they fail normality in the indefinite
+    product, hence the OneTwo kind.
     """
-    sp = b.space
     d = one_two_inverse(b)
-    q = projection_from_matrix(sp, (b @ d).matrix)
-    p = projection_from_matrix(sp, (sp.eye() - d @ b).matrix)
+    q, p = b @ d, b.space.eye() - d @ b
+    q = Projection(q, range_of(b), projection_kind(q))
+    p = Projection(p, nullspace_of(b), projection_kind(p))
     return GeneralizedInverse(d, q, p, GeneralizedInverseKind.ONE_TWO)
 
 
-def _require_normal_onto(space, proj, target, label):
-    """Validate Q (Projection, Operator or matrix) as normal onto target; the
-    validated Projection, with its inferred kind (selfadjoint onto a regular target)."""
+def _require_normal_onto(proj, target, label):
+    """Validate Q (Projection, Operator or matrix) as normal by projection_kind, and as onto
+    target by trace Q = dim T and QT - T negligible, T target's kept basis; Q onto target."""
     op = proj.op if isinstance(proj, Projection) else proj
-    if isinstance(op, Operator):
-        space, op = op.space, op.matrix
-    checked = projection_from_matrix(space, op)
-    if checked.kind is ProjectionKind.OBLIQUE:
+    op = op if isinstance(op, Operator) else Operator(target.space, op)
+    same_space(op, target)
+    if (kind := projection_kind(op)) is ProjectionKind.OBLIQUE:
         raise BadProjection(f"{label} does not commute with its adjoint")
-    if not subspace_equal(checked.range_sub, target):
+    q, t = op.matrix, target.basis
+    if round(q.trace().real) != target.dim or not negligible(q @ t - t, (op, t), (t,)):
         raise BadProjection(f"{label} projects onto the wrong subspace")
-    return checked
+    return Projection(op, target, kind)
 
 
 def generalized_inverse(b, q, p):
@@ -106,9 +102,8 @@ def generalized_inverse(b, q, p):
     Btilde is used. BD = Q and DB = I - P: D is the Moore-Penrose inverse iff
     both validated projections are selfadjoint.
     """
-    sp = b.space
-    q = _require_normal_onto(sp, q, range_of(b), "Q")
-    p = _require_normal_onto(sp, p, nullspace_of(b), "P")
+    q = _require_normal_onto(q, range_of(b), "Q")
+    p = _require_normal_onto(p, nullspace_of(b), "P")
     return _pair_inverse(b, q, p)
 
 
@@ -195,9 +190,8 @@ def reduced_generalized_inverse(b, q, p_prime):
     Q must be normal onto R(B) and P' normal onto N(B#B); then B'DB' = B',
     DB'D = D and B'D = Q#Q.
     """
-    sp = b.space
-    q_op = _require_normal_onto(sp, q, range_of(b), "Q").op
-    p_op = _require_normal_onto(sp, p_prime, normal_nullspace(b), "P'").op
+    q_op = _require_normal_onto(q, range_of(b), "Q").op
+    p_op = _require_normal_onto(p_prime, normal_nullspace(b), "P'").op
     return _reduced_inverse(b, q_op, p_op)
 
 

@@ -22,6 +22,7 @@ from .core import (
     pseudo_inverse,
     range_of,
     restricted_eigh,
+    same_space,
     subspace_from_spanning,
 )
 from .errors import BadProjection, DimensionMismatch, NotComplementary, NotRegular, NotSelfadjoint
@@ -58,7 +59,7 @@ def selfadjoint_projection(s):
 
 def oblique_projection(m, n):
     """P with range M and null space N, for complementary M and N."""
-    sp = m.space
+    sp = same_space(m, n)
     if m.dim + n.dim != sp.dim:
         raise NotComplementary("dimensions do not add up to the space")
     w = Operator(sp, np.hstack([m.basis, n.basis]), _copy=False)
@@ -118,20 +119,22 @@ def companion_identity_check(q, y):
     return negligible(residual, (q.op, q.op, size), (size,))
 
 
-def projection_from_matrix(space, matrix):
-    """Wrap a hand-built idempotent, inferring the strongest kind."""
-    op = Operator(space, matrix)
+def projection_kind(op):
+    """The one projection validator: BadProjection unless op is idempotent, else its kind."""
     if not negligible((op @ op - op).matrix, (op, op), (1.0,)):
         raise BadProjection("matrix is not idempotent")
     adj = op.adjoint()
     # normality is tested on every matrix: a selfadjointness residual within
     # tolerance does not bound the commutator within its own
     if not negligible((op @ adj - adj @ op).matrix, (op, op), (1.0,)):
-        kind = ProjectionKind.OBLIQUE
-    elif negligible((adj - op).matrix, (op,), (1.0,)):
-        kind = ProjectionKind.SELFADJOINT
-    else:
-        kind = ProjectionKind.NORMAL
-    # rank of an idempotent is its trace; immune to borderline singular values
-    rank = min(max(int(round(op.matrix.trace().real)), 0), space.dim)
+        return ProjectionKind.OBLIQUE
+    if negligible((adj - op).matrix, (op,), (1.0,)):
+        return ProjectionKind.SELFADJOINT
+    return ProjectionKind.NORMAL
+
+
+def projection_from_matrix(space, matrix):
+    """Wrap a hand-built idempotent of projection_kind's kind, its range spanned at its trace."""
+    op = Operator(space, matrix)
+    kind, rank = projection_kind(op), min(max(int(round(op.matrix.trace().real)), 0), space.dim)
     return Projection(op, subspace_from_spanning(space, op.matrix, rank=rank), kind)

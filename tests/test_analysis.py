@@ -305,6 +305,52 @@ def test_factorization_budget_of_a_benchmark_item(monkeypatch):
     assert {name: dict(spent) for name, spent in got.items()} == FACTORIZATION_BUDGET
 
 
+# the calls that validate what they are given, or wrap what they build, as projections
+# onto a kept subspace; the canonical pair and P1, the normal projection onto N(B#B),
+# are read first, so each count is that of the validation and what it builds
+VALIDATED = {
+    "generalized_inverse": lambda b, gi, p1: k.generalized_inverse(b, gi.q.matrix, gi.p.matrix),
+    "rebuild_generalized_inverse": lambda b, gi, p1: k.rebuild_generalized_inverse(b, gi.d),
+    "reduced_generalized_inverse": lambda b, gi, p1: k.reduced_generalized_inverse(
+        b, gi.q.matrix, p1.matrix
+    ),
+    "one_two_pair": lambda b, gi, p1: k.one_two_pair(b),
+}
+
+# what the VALIDATED calls and reading indefinite_inverse's certificates factor, summed
+# over INSTANCES. Deciding "onto" by re-spanning Q's range and comparing principal
+# angles, and the remark by two re-spanned ranks, cost 472, 472, 552, 160 and 160 SVDs;
+# reading the kept subspaces leaves the SVD of the reduced inverse's hilbert_pinv (80)
+# and the certificates' printed norms (160): every QT - T test is decided by Frobenius
+# brackets, with no spectral norm
+VALIDATION_BUDGET = {
+    "generalized_inverse": {},
+    "rebuild_generalized_inverse": {},
+    "reduced_generalized_inverse": {"svd": 80},
+    "one_two_pair": {},
+    "indefinite_inverse_certificates": {"norm2": 160},
+}
+
+
+def test_validation_budget(monkeypatch):
+    """Validating a projection reads the kept subspace it must project onto: no span,
+    no principal angle; the rank remark reads the kept range analysis."""
+    counts = _count_factorizations(monkeypatch)
+    got = {name: collections.Counter() for name in VALIDATION_BUDGET}
+    for b, c in INSTANCES:
+        b, _ = _fresh(b, c)
+        gi, p1 = k.canonical_pair(b), k.normal_projection(normal_nullspace(b))
+        for name, call in VALIDATED.items():
+            counts.clear()
+            call(b, gi, p1)
+            got[name].update(counts)
+        rep = k.indefinite_inverse(b)
+        counts.clear()
+        _certified(rep)
+        got["indefinite_inverse_certificates"].update(counts)
+    assert {name: dict(spent) for name, spent in got.items()} == VALIDATION_BUDGET
+
+
 CERTIFIED = {
     "solve_ims": lambda b, c: k.solve_ims(b, c, seed=4),
     "solve_imax": lambda b, c: k.solve_imax(b, c, seed=4),
@@ -367,10 +413,17 @@ def test_boolean_certificates_hold_on_every_feasible_report(exp):
 VALUED =("solve_ims", "solve_immso", "solve_min_ims_norm")
 
 
-@pytest.mark.parametrize("index", range(len(INSTANCES)))
+# INSTANCES, then the degenerate draws on which the remark, when it decided its two
+# ranks by the rank rule, disagreed with the classification at the neutral cutoff
+REMARK_CASES = [b for b, _ in INSTANCES] + [
+    degenerate_instance(seed)[0] for seed in (67, 137, 221, 323, 351)
+]
+
+
+@pytest.mark.parametrize("index", range(len(REMARK_CASES)))
 def test_regularity_rank_remark_agrees_with_the_classification(index):
     """The remark's dimension test R(B#) = R(B#B) and the kept inertia of R(B) agree."""
-    b = INSTANCES[index][0]
+    b = REMARK_CASES[index]
     remark = k.indefinite_inverse(b).certificates["regularity_rank_remark"]
     assert remark == k.range_of(b).classification.regular
 

@@ -191,6 +191,40 @@ def test_operator_space_mismatch(m2, m4):
         m2.operator(np.eye(3))
 
 
+# calls whose operands are bound to two spaces built from one Gram: B and its kept
+# subspaces in the first, the operand far(...) moves in the second
+ACROSS_SPACES = {
+    "solve_ims": lambda b, far: k.solve_ims(b, far(b)),
+    "solve_imax": lambda b, far: k.solve_imax(b, far(b)),
+    "solve_immso": lambda b, far: k.solve_immso(b, far(b)),
+    "solve_min_ims_norm": lambda b, far: k.solve_min_ims_norm(b, far(b)),
+    "certify_min": lambda b, far: k.certify_min(b, far(b), b, trials=3),
+    "verify_immso": lambda b, far: k.verify_immso(b, b, far(b)),
+    "verify_immso_symmetry": lambda b, far: k.verify_immso(
+        b, b, b, j=far(b.space.operator(b.space.j))
+    ),
+    "oblique_projection": lambda b, far: k.oblique_projection(
+        k.range_of(b), k.nullspace_of(far(b))
+    ),
+    "subspace_sum": lambda b, far: k.subspace_sum(k.range_of(b), k.nullspace_of(far(b))),
+    "subspace_intersection": lambda b, far: k.subspace_intersection(
+        k.range_of(b), k.range_of(far(b))
+    ),
+    "generalized_inverse": lambda b, far: k.generalized_inverse(
+        b, far(k.canonical_pair(b).q.op), k.canonical_pair(b).p
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ACROSS_SPACES)
+def test_operands_bound_to_two_spaces_raise_space_mismatch(name, m2):
+    """Every operand is checked against one space, also when the Grams are equal."""
+    other = k.make_space(m2.gram)
+    b = m2.operator(np.diag([1.0, 0.0]))
+    with pytest.raises(k.SpaceMismatch):
+        ACROSS_SPACES[name](b, lambda t: other.operator(t.matrix))
+
+
 def test_operator_rejects_non_finite(m2):
     with pytest.raises(k.KreinError, match="non-finite"):
         m2.operator(np.full((2, 2), np.nan))

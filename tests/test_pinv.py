@@ -13,6 +13,7 @@ from conftest import (
     random_subspace,
 )
 from kreinls.ils import normal_equation_solution
+from kreinls.pinv import _require_normal_onto
 
 B1 = np.diag([1.0, 0.0])
 B3 = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -99,13 +100,13 @@ def test_generalized_inverse_identity(m2):
 
 def test_generalized_inverse_rejects_bad_projections(m2):
     b = m2.operator(B3)
-    with pytest.raises(k.BadProjection):
-        k.generalized_inverse(b, np.diag([0.0, 1.0]), P_NEUTRAL)  # wrong range
-    with pytest.raises(k.BadProjection):
-        k.generalized_inverse(b, 2 * np.diag([1.0, 0.0]), P_NEUTRAL)  # not idempotent
+    with pytest.raises(k.BadProjection, match="Q projects onto the wrong subspace"):
+        k.generalized_inverse(b, np.diag([0.0, 1.0]), P_NEUTRAL)
+    with pytest.raises(k.BadProjection, match="not idempotent"):
+        k.generalized_inverse(b, 2 * np.diag([1.0, 0.0]), P_NEUTRAL)
     # oblique onto N(B): idempotent with the right range but not normal
     oblique = np.array([[0.0, 1.0], [0.0, 1.0]])  # onto span((1,1)) along e1
-    with pytest.raises(k.BadProjection):
+    with pytest.raises(k.BadProjection, match="P does not commute with its adjoint"):
         k.generalized_inverse(m2.operator([[1.0, -1.0], [0.0, 0.0]]), np.diag([1.0, 0.0]), oblique)
     # hand-built Projection objects are validated by their matrices: the stated
     # range and kind are right, the operators are not
@@ -121,6 +122,48 @@ def test_generalized_inverse_rejects_bad_projections(m2):
             k.generalized_inverse(b, q, p_ok)
         with pytest.raises(k.BadProjection):
             k.reduced_generalized_inverse(b, q, p_ok)
+
+
+@pytest.mark.parametrize(
+    "delta, num, onto",
+    [(1e-12, None, True), (1e-9, None, False), (1e-9, 1e-6, True), (1e-5, 1e-6, False)],
+)
+def test_onto_is_decided_at_the_residual_tolerance(delta, num, onto):
+    """Q, the selfadjoint projection onto span(e1 + delta e2), projects onto R(B) = span(e1)
+    iff QT - T is negligible at tol.num: about delta against 2 tol.num. The principal-angle
+    rule accepted every delta up to ANGLE_TOL = 1e-8 whatever the tolerances."""
+    tol = k.Tolerances() if num is None else k.Tolerances(num=num)
+    sp = k.make_space(np.diag([1.0, 1.0, -1.0, -1.0]), tol)
+    b = sp.operator(np.diag([1.0, 0.0, 0.0, 0.0]))
+    v = np.array([1.0, delta, 0.0, 0.0])
+    q, p = np.outer(v, v) / (v @ v), np.diag([0.0, 1.0, 1.0, 1.0])
+    if not onto:
+        with pytest.raises(k.BadProjection, match="Q projects onto the wrong subspace"):
+            k.generalized_inverse(b, q, p)
+        return
+    gi = k.generalized_inverse(b, q, p)
+    assert gi.kind is k.GeneralizedInverseKind.MOORE_PENROSE
+    assert gi.q.range_sub is k.range_of(b)
+
+
+@pytest.mark.parametrize("name", ["b3", "b1", "diag4", "invertible"])
+def test_validated_projections_carry_the_kept_subspaces(name, m2, m4):
+    """Q, P and P' validated, and the pair one_two_pair wraps, project onto the kept range,
+    null space and N(B#B) themselves, each with its kept eigh: nothing is re-spanned."""
+    sp, mat = {
+        "b3": (m2, B3),
+        "b1": (m2, B1),
+        "diag4": (m4, np.diag([1.0, 2.0, 0.0, 0.0])),
+        "invertible": (m2, np.array([[2.0, 1.0], [0.0, 1.0]])),
+    }[name]
+    b = sp.operator(mat)
+    gi = k.canonical_pair(b)
+    for pair in (k.generalized_inverse(b, gi.q.matrix, gi.p.matrix), k.one_two_pair(b)):
+        assert pair.q.range_sub is k.range_of(b)
+        assert pair.p.range_sub is k.nullspace_of(b)
+    null_bb = k.core.normal_nullspace(b)
+    p_prime = k.normal_projection(null_bb).matrix
+    assert _require_normal_onto(p_prime, null_bb, "P'").range_sub is null_bb
 
 
 def test_rebuild_round_trip(m2, m4):

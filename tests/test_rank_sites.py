@@ -9,7 +9,9 @@ project, so the standard library's ast checks that no other function reaches
 for the count. It checks the same of `scaled_to_unit`, the one function that
 picks a power of two to scale by (the only referrer of `frexp`), and of
 `negligible`, the one norm test that reads `tol.num`: every other norm threshold
-is a coefficient and terms passed to `norm_at_most`, never a callable.
+is a coefficient and terms passed to `norm_at_most`, never a callable. And no
+library decision reads a principal angle: `ANGLE_TOL` serves only the public
+`subspace_within` and `subspace_equal`.
 """
 
 import ast
@@ -81,6 +83,28 @@ def test_no_norm_test_takes_a_callable():
     for name, call in calls:
         args = [*call.args, *(kw.value for kw in call.keywords)]
         assert not any(isinstance(a, ast.Lambda) for a in args), (name, call.lineno)
+
+
+# the (module, function) pairs that may mention each name of the angle rule: only the
+# public comparisons built on it; a projection is validated against its target's kept
+# basis, never through projection_from_matrix, which re-spans its range
+ANGLE_RULE_REFERRERS = {
+    "ANGLE_TOL": {("core", "<module>"), ("core", "subspace_within")},
+    "principal_angles": {("core", "subspace_within")},
+    "subspace_within": {("core", "subspace_equal")},
+    "subspace_equal": set(),
+    "projection_from_matrix": set(),
+}
+
+
+def test_no_library_decision_reads_a_principal_angle():
+    for name, allowed in ANGLE_RULE_REFERRERS.items():
+        found = {
+            (path.stem, owner)
+            for path in PACKAGE.glob("*.py")
+            for owner in _referrers(path.read_text(), name)
+        }
+        assert found == allowed, name
 
 
 def test_the_check_finds_every_referrer():
