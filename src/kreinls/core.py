@@ -91,21 +91,16 @@ def norm_at_most(a, coefficient, *terms):
     for term in terms:
         t_lo = t_hi = coefficient
         for f in term:
-            f_lo, f_hi = _factor_norm(f, bracket=True)
+            f_lo, f_hi = (_norm_bracket(f) if isinstance(f, Operator) else
+                          _spectral_bracket(f) if isinstance(f, np.ndarray) else (f, f))
             t_lo, t_hi = t_lo * f_lo, t_hi * f_hi
         low, high = low + t_lo, high + t_hi
     if hi <= low or lo > high:
         return hi <= low
-    cutoff = sum(math.prod(map(_factor_norm, term), start=coefficient) for term in terms)
+    norms = ([f.norm() if isinstance(f, Operator) else
+              spectral_norm(f) if isinstance(f, np.ndarray) else f for f in term] for term in terms)
+    cutoff = sum(math.prod(term, start=coefficient) for term in norms)
     return hi <= cutoff or (lo <= cutoff and spectral_norm(a) <= cutoff)
-
-
-def _factor_norm(f, bracket=False):
-    if isinstance(f, Operator):
-        return _norm_bracket(f) if bracket else f.norm()
-    if isinstance(f, np.ndarray):
-        return _spectral_bracket(f) if bracket else spectral_norm(f)
-    return (f, f) if bracket else f
 
 
 def negligible(residual, *terms):
@@ -345,12 +340,12 @@ class Operator:
         return spectral_norm(self.matrix)
 
 
-def same_space(*items):
-    """The one space the items other than None are bound to; SpaceMismatch if they are not."""
-    spaces = {x.space for x in items if x is not None}
-    if len(spaces) > 1:
-        raise SpaceMismatch("operands bound to different spaces")
-    return spaces.pop()
+def same_space(first, *items):
+    """first's space, which every other item but None must be bound to (SpaceMismatch)."""
+    for x in items:
+        if x is not None and x.space is not first.space:
+            raise SpaceMismatch("operands bound to different spaces")
+    return first.space
 
 
 @per_instance

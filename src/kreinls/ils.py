@@ -26,7 +26,6 @@ from .core import (
     nullspace_of,
     pseudo_inverse_factors,
     range_of,
-    regular_part,
     same_space,
     sum_with_companion_contains,
 )
@@ -242,9 +241,10 @@ STATIONARY = Problem((RANGE_INCLUSION,), _normal_equation_answer, _stationary_ce
 
 
 def regular_range_rank_check(b):
-    """The remark R(B#) = R(B#B) on dimensions, read off the kept analysis: rank B, and
-    dim S_reg of S = R(B), as B# kills the isotropic part S^o and is injective on S_reg."""
-    return regular_part(range_of(b)).dim == range_of(b).dim
+    """The remark R(B#) = R(B#B) on dimensions: rank B = dim S and dim R(B#B) = dim S_reg
+    for S = R(B), as B# kills S's isotropic part and is injective on S_reg. They agree
+    exactly when S is regular, so the remark is the classification of R(B), not a check."""
+    return range_of(b).classification.regular
 
 
 def _inverse_answer(b, c):

@@ -414,7 +414,8 @@ VALUED =("solve_ims", "solve_immso", "solve_min_ims_norm")
 
 
 # INSTANCES, then the degenerate draws on which the remark, when it decided its two
-# ranks by the rank rule, disagreed with the classification at the neutral cutoff
+# ranks by the rank rule, disagreed with the classification at the neutral cutoff; it
+# now reads the classification, so these guard against a second rule coming back
 REMARK_CASES = [b for b, _ in INSTANCES] + [
     degenerate_instance(seed)[0] for seed in (67, 137, 221, 323, 351)
 ]
@@ -422,7 +423,7 @@ REMARK_CASES = [b for b, _ in INSTANCES] + [
 
 @pytest.mark.parametrize("index", range(len(REMARK_CASES)))
 def test_regularity_rank_remark_agrees_with_the_classification(index):
-    """The remark's dimension test R(B#) = R(B#B) and the kept inertia of R(B) agree."""
+    """The remark R(B#) = R(B#B) is the kept classification of R(B), no second rule."""
     b = REMARK_CASES[index]
     remark = k.indefinite_inverse(b).certificates["regularity_rank_remark"]
     assert remark == k.range_of(b).classification.regular

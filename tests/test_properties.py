@@ -213,10 +213,8 @@ def test_min_norm_solution_solves_the_normal_equation():
 
 
 def test_huge_operator_keeps_the_conditions():
-    """B scaled by 1e160: nothing overflows, because no solver forms B#B.
-
-    indefinite_inverse's rank cross-check forms B#B on purpose, from B/||B||.
-    """
+    """B scaled by 1e160: nothing overflows, because no solver forms B#B and
+    indefinite_inverse's rank remark is read off the kept range analysis."""
     for seed, b, c in _instances(range(60)):
         huge = b.space.operator(1e160 * b.matrix)
         for solve in (k.solve_ims, k.solve_min_ims_norm):
