@@ -7,8 +7,13 @@ verification verdict), 1 input error. Output is canonical: fixed key order
 and 17-significant-digit floats, so a fixed input + seed is byte-stable.
 """
 
-import argparse
+import gc
 import sys
+
+if __name__ == "__main__":  # a one-shot process: no cyclic GC pass over what the imports make
+    gc.disable()
+
+import argparse
 
 import numpy as np
 
@@ -21,11 +26,6 @@ from .core import (
     subspace_from_spanning,
 )
 from .errors import KreinError, NotRegular, ParseError
-from .ils import indefinite_inverse, solve_imax, solve_ims, verify_ims
-from .minmax import solve_immso
-from .oracle import certify_min, is_krein_positive
-from .pinv import canonical_pair, krein_moore_penrose, solve_min_ims_norm
-from .projections import ando_split, normal_projection, selfadjoint_projection
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,17 +82,20 @@ def _projection_body(q):
 # ---------------------------------------------------------------------------
 
 def _solver(fn, *flags):
-    """Handler for a solver taking the operands named by flags and a seed."""
+    """Handler for a solver taking the operands named by flags and a seed. fn is the
+    solver or its name in kreinls, looked up when the command runs: a command
+    imports only its own solver's module."""
 
     def handler(space, args):
-        rep = fn(*(_operator(space, args, flag) for flag in flags), seed=args.seed)
+        solve = getattr(sys.modules[__package__], fn) if isinstance(fn, str) else fn
+        rep = solve(*(_operator(space, args, flag) for flag in flags), seed=args.seed)
         return (0 if rep.feasible else 2), _solve_report(rep)
 
     return handler
 
 
-_inverse = _solver(indefinite_inverse, "b")
-_ims = _solver(solve_ims, "b", "c")
+_inverse = _solver("indefinite_inverse", "b")
+_ims = _solver("solve_ims", "b", "c")
 
 
 def _adjoint(space, args):
@@ -129,6 +132,8 @@ def _decompose(space, args):
 
 
 def _project(space, args):
+    from .projections import ando_split, normal_projection, selfadjoint_projection
+
     sub = _subspace(space, args)
     if args.mode == "normal":
         return 0, _projection_body(normal_projection(sub))
@@ -143,6 +148,8 @@ def _project(space, args):
 
 
 def _geninv(space, args):
+    from .pinv import canonical_pair
+
     b = _operator(space, args, "b")
     gi = canonical_pair(b)
     bd = b @ gi.d
@@ -164,6 +171,8 @@ def _geninv(space, args):
 
 
 def _verify(space, args):
+    from .ils import verify_ims
+
     b, c, x = (_operator(space, args, flag) for flag in "bcx")
     verdict = verify_ims(x, b, c, trials=200, seed=args.seed)
     residual = (b.adjoint() @ (b @ x - c)).norm()
@@ -172,6 +181,8 @@ def _verify(space, args):
 
 def _oracle(space, args):
     # minimality of X when (B, C, X) are all given, positivity of B otherwise
+    from .oracle import certify_min, is_krein_positive
+
     b = _operator(space, args, "b")
     if args.c is not None and args.x is not None:
         c, x = _operator(space, args, "c"), _operator(space, args, "x")
@@ -196,11 +207,11 @@ COMMANDS = {
         "indefinite least squares: inverse of B, or min for (B, C)",
         lambda space, args: (_inverse if args.c is None else _ims)(space, args),
     ),
-    "solve-imax": ("indefinite least-squares maximum for (B, C)", _solver(solve_imax, "b", "c")),
-    "solve-minmax": ("stationary min-max problem for (B, C)", _solver(solve_immso, "b", "c")),
-    "pinv": ("Krein-space Moore-Penrose inverse of B", _solver(krein_moore_penrose, "b")),
+    "solve-imax": ("indefinite least-squares maximum for (B, C)", _solver("solve_imax", "b", "c")),
+    "solve-minmax": ("stationary min-max problem for (B, C)", _solver("solve_immso", "b", "c")),
+    "pinv": ("Krein-space Moore-Penrose inverse of B", _solver("krein_moore_penrose", "b")),
     "geninv": ("generalized inverse from canonical normal projections", _geninv),
-    "min-norm": ("minimal-X#X solution of BX = C", _solver(solve_min_ims_norm, "b", "c")),
+    "min-norm": ("minimal-X#X solution of BX = C", _solver("solve_min_ims_norm", "b", "c")),
     "verify": ("check a candidate X for the minimum problem (B, C)", _verify),
     "oracle": ("Krein positivity of B, or minimality of X for (B, C)", _oracle),
 }
@@ -208,12 +219,16 @@ COMMANDS = {
 _ECHOED = ("space", "b", "c", "x", "subspace", "seed", "tol_rank", "tol_num")
 
 
-def _build_parser():
+def _build_parser(argv):
+    """All commands with their help; options only on the one argv invokes."""
     parser = _Parser(prog="krein", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="<command>")
     sub.required = True
+    invoked = next((arg for arg in argv if arg in COMMANDS), None)
     for name, (helptext, _) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
+        if name != invoked:
+            continue
         if name == "project":
             p.add_argument("mode", choices=["selfadjoint", "normal", "ando"])
         p.add_argument("--space", required=True, help="space file {\"gram\": <matrix>}")
@@ -230,8 +245,9 @@ def _build_parser():
 
 @np.errstate(all="ignore")  # no numpy warning: a non-finite value ends in `error:`
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         num = Tolerances.num if args.tol_num is None else args.tol_num
         tol = Tolerances(rank=args.tol_rank, num=num)
         space = matio.load_space(args.space, tol)
@@ -241,15 +257,28 @@ def main(argv=None):
             head["mode"] = args.mode
         report = {**head, **body, "config_echo": {**head, **{k: getattr(args, k) for k in _ECHOED}}}
         text = matio.canonical_dumps(report) + "\n"
+        if args.out:  # before stdout: a failed write prints no report
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise KreinError("cannot write %s: %s" % (args.out, exc)) from exc
     except KreinError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return code
 
 
+def run():
+    """The `krein` process: main, then exit with every object frozen (also after
+    --help or a usage error), so that finalization runs no cyclic-GC pass over
+    numpy's objects."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

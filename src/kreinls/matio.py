@@ -4,17 +4,17 @@ Matrix schema: {"rows": int, "cols": int, "data": [[[re, im], ...], ...]},
 row-major with explicit complex pairs. A space file is {"gram": <matrix>},
 a subspace file {"basis": <matrix>}. One canonical writer takes report values
 as the library makes them (numpy scalars, complex numbers as [re, im], real
-vectors as lists, other arrays, Operators and Projections as matrices), keeps
-insertion order and prints floats at 17 digits: same input, same bytes.
+vectors as lists, other arrays and any value with an array `.matrix`, such as
+an Operator or a Projection, as matrices), keeps insertion order and prints
+floats at 17 digits: same input, same bytes.
 """
 
 import json
 
 import numpy as np
 
-from .core import Operator, make_space
+from .core import make_space
 from .errors import KreinError, ParseError
-from .projections import Projection
 
 
 def matrix_to_json(a):
@@ -29,7 +29,7 @@ def matrix_from_json(obj):
         raise ParseError("matrix object must be a JSON dict")
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError("matrix object needs integer rows/cols and data") from exc
     if rows < 0 or cols < 0 or not isinstance(data, list) or len(data) != rows:
         raise ParseError("matrix data does not match declared shape")
@@ -56,7 +56,7 @@ def load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
         raise ParseError("invalid JSON in %s: %s" % (path, exc)) from exc
 
 
@@ -116,7 +116,7 @@ def _write_canonical(out, value):
     elif isinstance(value, np.ndarray):
         real_vector = value.ndim == 1 and not np.iscomplexobj(value)
         _write_canonical(out, [float(v) for v in value] if real_vector else matrix_to_json(value))
-    elif isinstance(value, (Operator, Projection)):
+    elif isinstance(getattr(value, "matrix", None), np.ndarray):  # Operator, Projection
         _write_canonical(out, value.matrix)
     else:
         raise TypeError("cannot serialize %r" % type(value))

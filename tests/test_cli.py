@@ -62,14 +62,20 @@ ERROR_CASES = [
     ["pinv", "--seed", "-1", "--space", "m2.json", "--b", "b1.json"],
     ["verify", "--seed", "-1", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--x", "b1.json"],
     ["oracle", "--seed", "-1", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--x", "b1.json"],
+    # an --out that cannot be written (the report must not reach stdout either), a file
+    # that is not UTF-8, a matrix size that overflows int, JSON nested 100 000 deep
+    ["classify", "--space", "m2.json", "--subspace", "span_pp.json", "--out", "no_such_dir/report.json"],
+    ["adjoint", "--space", "not_utf8.json", "--b", "b1.json"],
+    ["adjoint", "--space", "m2.json", "--b", "rows_overflow.json"],
+    ["adjoint", "--space", "m2.json", "--b", "deep.json"],
 ]
 
 
-def run_cli(argv):
+def run_cli(argv, **env):
     return subprocess.run(
         [sys.executable, "-m", "kreinls.cli", *argv],
         cwd=DATA,
-        env=cli_env(),
+        env={**cli_env(), **env},
         capture_output=True,
         text=True,
     )
@@ -122,6 +128,15 @@ def test_input_errors_exit_one(argv):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("command", ["krein", *cli.COMMANDS])
+def test_help_bytes(command):
+    """`krein --help` and each command's --help print the golden text at 80 columns."""
+    argv = ["--help"] if command == "krein" else [command, "--help"]
+    proc = run_cli(argv, COLUMNS="80")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / "help" / f"{command}.txt").read_text()
 
 
 def test_fixture_values_in_reports():
