@@ -14,19 +14,18 @@ import importlib
 # module -> the public names it exports
 _EXPORTS = {
     "core": """KreinSpace Operator Subspace SubspaceClass SubspaceKind Tolerances adjoint
-        classify contains_columns decompose_subspace full_subspace indefinite_inner
-        isotropic_part make_space neutral_range nullspace_of orthogonal_companion
-        principal_angles range_inclusion range_of solve_douglas subspace_equal
-        subspace_from_spanning subspace_intersection subspace_sum subspace_within
-        zero_subspace""",
+        classify contains_columns decompose_subspace full_subspace isotropic_part
+        make_space neutral_range nullspace_of orthogonal_companion principal_angles
+        range_inclusion range_of solve_douglas subspace_equal subspace_from_spanning
+        subspace_intersection subspace_sum subspace_within zero_subspace""",
     "errors": """BadProjection DimensionMismatch InfeasibleInstance KreinError NoFactorization
         NotComplementary NotHermitian NotRegular NotSelfadjoint ParseError SingularGram
         SpaceMismatch""",
-    "ils": """SolutionManifold SolveReport has_indefinite_inverse indefinite_inverse
-        indefinite_inverse_in_range regular_range_rank_check solve_imax solve_ims verify_ims""",
+    "ils": """SolutionManifold SolveReport indefinite_inverse indefinite_inverse_in_range
+        regular_range_rank_check solve_imax solve_ims verify_ims""",
     "minmax": """OperatorSplit minmax_value_identity random_fundamental_symmetry solve_immso
         split_operator verify_immso""",
-    "oracle": "Certificate certify_min hilbert_limit_check is_krein_positive operator_leq",
+    "oracle": "Certificate certify_min hilbert_limit_check is_krein_positive",
     "pinv": """GeneralizedInverse GeneralizedInverseKind canonical_pair generalized_inverse
         krein_moore_penrose mp_variational_check one_two_inverse one_two_pair
         rebuild_generalized_inverse reduced_generalized_inverse solve_min_ims_norm""",

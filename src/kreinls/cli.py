@@ -174,7 +174,7 @@ def _verify(space, args):
     from .ils import verify_ims
 
     b, c, x = (_operator(space, args, flag) for flag in "bcx")
-    verdict = verify_ims(x, b, c, trials=200, seed=args.seed)
+    verdict = verify_ims(x, b, c)
     residual = (b.adjoint() @ (b @ x - c)).norm()
     return (0 if verdict else 2), {"verdict": verdict, "residuals": {"normal_equation": residual}}
 
@@ -250,6 +250,8 @@ def main(argv=None):
         args = _build_parser(argv).parse_args(argv)
         num = Tolerances.num if args.tol_num is None else args.tol_num
         tol = Tolerances(rank=args.tol_rank, num=num)
+        if args.seed < 0:  # the library's own check, made once for every command
+            raise KreinError("seed must be nonnegative, got %d" % args.seed)
         space = matio.load_space(args.space, tol)
         code, body = COMMANDS[args.command][1](space, args)
         head = {"command": args.command}

@@ -26,7 +26,7 @@ from .errors import (
     SpaceMismatch,
 )
 
-_EPS = float(np.finfo(float).eps)
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)  # tiny: least normal
 ANGLE_TOL = 1e-8  # the largest principal angle between a subspace and one containing it
 SYM_TOL = 1e-10  # relative Hermitian asymmetry of a Gram, or of G T in is_krein_positive
 NEUTRAL_TOL = 1e-8  # relative eigenvalue cutoff of restricted Grams (KreinSpace.neutral_cutoff)
@@ -81,25 +81,37 @@ def _spectral_bracket(a):
     return fro * (1.0 - slack) / math.sqrt(min(a.shape)), fro * (1.0 + slack)
 
 
+def _product(factors):
+    """The product of nonnegative numbers, 0 or inf only when it is: left to right while each
+    partial product is a normal float, else from each factor's scaled_to_unit form."""
+    p = 1.0
+    for f in factors:
+        p *= f
+        if not _TINY <= p < math.inf:  # a partial product left the normal floats
+            parts = [scaled_to_unit(f) for f in factors]
+            mantissa, exponent = scaled_to_unit(math.prod(m for m, _ in parts))
+            exponent += sum(e for _, e in parts)
+            return math.ldexp(mantissa, exponent) if exponent <= 1024 or not mantissa else math.inf
+    return p
+
+
 def norm_at_most(a, coefficient, *terms):
     """||a||_2 <= coefficient * sum over terms of the product of their factors' norms, the
     roundoff scale of a sum of products (Higham, Accuracy and Stability, §3.5). A factor is
     an Operator or an array (its bracket, then its norm; an Operator's are kept) or a number;
-    no norm is factored far from the cutoff."""
+    no norm is factored far from the cutoff, and a representable term is formed as one."""
     lo, hi = _spectral_bracket(a)
     low = high = 0.0
     for term in terms:
-        t_lo = t_hi = coefficient
-        for f in term:
-            f_lo, f_hi = (_norm_bracket(f) if isinstance(f, Operator) else
-                          _spectral_bracket(f) if isinstance(f, np.ndarray) else (f, f))
-            t_lo, t_hi = t_lo * f_lo, t_hi * f_hi
-        low, high = low + t_lo, high + t_hi
+        f_lo, f_hi = zip(*(_norm_bracket(f) if isinstance(f, Operator) else
+                           _spectral_bracket(f) if isinstance(f, np.ndarray) else (f, f)
+                           for f in term))
+        low, high = low + _product((coefficient, *f_lo)), high + _product((coefficient, *f_hi))
     if hi <= low or lo > high:
         return hi <= low
     norms = ([f.norm() if isinstance(f, Operator) else
               spectral_norm(f) if isinstance(f, np.ndarray) else f for f in term] for term in terms)
-    cutoff = sum(math.prod(term, start=coefficient) for term in norms)
+    cutoff = sum(_product((coefficient, *term)) for term in norms)
     return hi <= cutoff or (lo <= cutoff and spectral_norm(a) <= cutoff)
 
 
@@ -269,11 +281,6 @@ def hilbert_pinv(space, a, k, metric=None):
     r, rinv = (space._chol_r, space._chol_rinv) if metric is None else metric_factors(metric)
     u, sing, vh = np.linalg.svd(r @ a @ rinv)
     return rinv @ ((vh[:k].conj().T / sing[:k]) @ u[:, :k].conj().T) @ r
-
-
-def indefinite_inner(space, x, y):
-    """[x, y] = y* G x."""
-    return complex(np.vdot(y, space.gram @ x))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ from .core import (
     pseudo_inverse_factors,
     range_of,
     same_space,
+    scaled_to_unit,
     sum_with_companion_contains,
 )
 from .errors import KreinError
-from .oracle import certify_min
 from .projections import normal_projection, selfadjoint_projection
 
 
@@ -274,11 +274,6 @@ INVERSE = Problem((RANGE_REGULAR,), _inverse_answer, _inverse_certificates, _inv
 # public operations
 # ---------------------------------------------------------------------------
 
-def has_indefinite_inverse(b):
-    """B#(BX - I) = 0 is solvable exactly when R(B) is regular."""
-    return range_of(b).classification.regular
-
-
 def indefinite_inverse(b, seed=0):
     """Solve B#(BX - I) = 0; solutions are X0 + {Y : R(Y) ⊆ N(B)}."""
     return solve_problem(INVERSE, b, b.space.eye(), seed)
@@ -309,13 +304,14 @@ def solve_imax(b, c, seed=0):
     return solve_problem(ZERO_OPERATOR if not b.matrix.any() else MAXIMUM, b, c, seed)
 
 
-def verify_ims(x, b, c, trials=200, seed=0):
-    """Accept X iff the normal equation holds and sampling finds no better competitor.
-
-    The normal equation holds when B#(BX - C) is negligible against the roundoff scale
-    of forming it, ||B|| ||B|| ||X|| + ||B|| ||C||; a norm is factored only near the cutoff.
-    """
-    residual = (b.adjoint() @ (b @ x - c)).matrix
-    if not negligible(residual, (b, b, x), (b, c)):
+def verify_ims(x, b, c):
+    """Accept X iff it minimizes (BX - C)#(BX - C): with R0 = BX - C and H = B* G B, X is
+    one iff B* G R0 = 0 and H >= 0, as G (V(X + E) - V(X)) = E* H E + 2 herm(E* B* G R0).
+    Both are read on U = B / 2^e (scaled_to_unit), whose products cannot overflow, against
+    the roundoff of forming them: one product and one eigvalsh, no inverse of G, no sampling."""
+    unit = Operator(b.space, scaled_to_unit(b.matrix)[0], _copy=False)
+    gu, norm_g = b.space.gram @ unit.matrix, b.space.gram_norm
+    if not negligible(gu.conj().T @ (b @ x - c).matrix, (unit, b, x, norm_g), (unit, c, norm_g)):
         return False
-    return certify_min(b, c, x, trials=trials, seed=seed).verdict
+    lam = np.linalg.eigvalsh(herm(unit.matrix.conj().T @ gu))[0]
+    return lam >= 0.0 or negligible(np.array([lam]), (unit, unit, norm_g))

@@ -1,4 +1,5 @@
-"""Independent checks: Krein positivity, operator order, minimality sampling.
+"""Independent checks: Krein positivity, and a sampled audit of minimality (certify_min,
+the `oracle` command's; ils.verify_ims decides minimality from B* G B without it).
 
 Everything here is computed from the Gram matrix and classical dense linear
 algebra; the solver modules are never imported at module level, so the
@@ -53,11 +54,6 @@ def is_krein_positive(t):
     if lam_min >= 0.0 or negligible(np.array([lam_min]), (t, sp.gram_norm)):
         return Certificate(True, None, 0, lam_min)
     return Certificate(False, v[:, 0].copy(), 0, lam_min)
-
-
-def operator_leq(s, t):
-    """S <= T in the positive-operator order: T - S is Krein positive."""
-    return is_krein_positive(t - s)
 
 
 _CHUNK_ENTRIES = 1 << 16  # entries in one stacked (T, n, n) array of competitors

@@ -626,7 +626,7 @@ def _every_public_call(b, c):
     ims = _certified(k.solve_ims(b, c))
     if ims.feasible:
         k.certify_min(b, c, ims.solution, trials=20)
-        k.verify_ims(ims.solution, b, c, trials=20)
+        k.verify_ims(ims.solution, b, c)
     if k.solve_immso(b, c).feasible:
         z0 = k.solve_immso(b, c).solution
         k.verify_immso(z0, b, c, j=k.random_fundamental_symmetry(sp, np.random.default_rng(0)))

@@ -281,23 +281,41 @@ def test_a_non_finite_report_value_is_an_input_error(value, monkeypatch, capsys)
 def test_overflow_ends_in_an_error_line_without_a_numpy_warning(tmp_path, capsys):
     """B x 1e300 overflows in the space G x 1e-150 (the adjoint) and in G x 1e150 (R B R^-1,
     which every analysis of B reads): each run ends in exit code 1 with stderr starting
-    at its error line, and numpy warns nothing."""
+    at its error line. verify decides B = diag(1e200, 0), whose B* G B overflows: X = 0 is
+    a minimum for C = diag(0, 1), and X = diag(1e-300, 0) is not one for C = 1e-300 I,
+    where ||B||^2 ||X|| overflows on the way to the cutoff. numpy warns nothing."""
+
+    def write(name, matrix):
+        (tmp_path / name).write_text(json.dumps(matio.matrix_to_json(matrix)))
+        return str(tmp_path / name)
+
+    def run(argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+        return code, out, err
+
     gram = matio.matrix_from_json(json.loads((DATA / "m2.json").read_text())["gram"])
-    b = matio.load_matrix(DATA / "b3.json")
-    (tmp_path / "b.json").write_text(json.dumps(matio.matrix_to_json(b * 1e300)))
+    b = write("b.json", matio.load_matrix(DATA / "b3.json") * 1e300)
     cases = [("adjoint", 1e-150), ("solve-ils", 1e150), ("pinv", 1e150), ("geninv", 1e150)]
     for command, scale in cases:
         space = {"gram": matio.matrix_to_json(gram * scale)}
         (tmp_path / "space.json").write_text(json.dumps(space))
-        argv = [command, "--space", str(tmp_path / "space.json"), "--b", str(tmp_path / "b.json")]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cli.main(argv) == 1, command
-        out, err = capsys.readouterr()
-        assert out == "", command
+        code, out, err = run([command, "--space", str(tmp_path / "space.json"), "--b", b])
+        assert (code, out) == (1, ""), command
         assert err.startswith("error: "), err
-        assert "RuntimeWarning" not in err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    huge = write("huge.json", np.diag([1e200, 0.0]))
+    for x, c, verdict in [
+        (np.zeros((2, 2)), np.diag([0.0, 1.0]), True),
+        (np.diag([1e-300, 0.0]), 1e-300 * np.eye(2), False),
+    ]:
+        argv = ["verify", "--space", str(DATA / "m2.json"), "--b", huge]
+        code, out, err = run([*argv, "--c", write("c.json", c), "--x", write("x.json", x)])
+        assert (code, err) == (0 if verdict else 2, ""), err
+        assert json.loads(out)["verdict"] is verdict
 
 
 def test_cli_does_not_import_scipy():

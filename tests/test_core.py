@@ -25,6 +25,7 @@ from kreinls.core import (
     _spectral_bracket,
     contains_columns,
     krein_orthogonal,
+    negligible,
     norm_at_most,
     spectral_norm,
 )
@@ -179,8 +180,8 @@ def test_adjoint_axioms(p, q):
         # defining property on random vectors
         x = gaussian(rng, (n,))
         y = gaussian(rng, (n,))
-        lhs = k.indefinite_inner(sp, t.matrix @ x, y)
-        rhs = k.indefinite_inner(sp, x, t.adjoint().matrix @ y)
+        lhs = np.vdot(y, sp.gram @ (t.matrix @ x))
+        rhs = np.vdot(t.adjoint().matrix @ y, sp.gram @ x)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -567,6 +568,17 @@ def test_norm_at_most_of_a_zero_matrix_factors_nothing(shape, monkeypatch):
     a = np.zeros(shape, dtype=complex)
     assert norm_at_most(a, 0.0, (1.0,)) and norm_at_most(a, 1.0, (1.0,))
     assert not counts, counts
+
+
+def test_norm_at_most_forms_a_representable_cutoff_without_overflow(m2):
+    """A cutoff that is a float is one, whatever its partial products: 1e90 and 1e-110
+    below, and 0 for a zero factor beside a norm whose square overflows."""
+    ones = np.ones((2, 2))
+    assert not norm_at_most(2e95 * ones, 1e-10, (1e200, 1e200, 1e-300))
+    assert norm_at_most(1e-120 * ones, 1e-10, (1e-200, 1e-200, 1e300))
+    b = m2.operator(np.diag([1e200, 0.0]))
+    assert negligible(np.zeros((2, 2)), (b, b, m2.zero()))
+    assert not negligible(np.ones((2, 2)), (b, b, m2.zero()))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

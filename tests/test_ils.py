@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import kreinls as k
@@ -15,6 +17,7 @@ from conftest import (
     random_subspace,
     subspace_choices,
 )
+from test_oracle import _oracle_instance
 from test_properties import degenerate_instance
 
 B1 = np.diag([1.0, 0.0])
@@ -70,7 +73,7 @@ def test_inverse_feasible_iff_range_regular(p, q):
         b = operator_with_range(sp, s, rng)
         rep = k.indefinite_inverse(b)
         assert rep.feasible == s.classification.regular
-        assert k.has_indefinite_inverse(b) == rep.feasible
+        assert k.range_of(b).classification.regular == rep.feasible
         assert k.regular_range_rank_check(b) == rep.feasible
         if rep.feasible:
             bx = b @ rep.solution
@@ -212,6 +215,11 @@ def test_verify_ims_accepts_and_rejects(m2):
     neg = m2.operator(np.diag([0.0, 1.0]))
     x_stat = m2.operator([[0.0, 0.0], [0.0, 1.0]])
     assert not k.verify_ims(x_stat, neg, neg @ m2.eye())
+    # B = diag(1e200, 0): B* G B overflows while U* G U does not; X = 0 is a minimum
+    huge = m2.operator(np.diag([1e200, 0.0]))
+    assert k.verify_ims(m2.zero(), huge, m2.operator(np.diag([0.0, 1.0])))
+    # B* G R0 = diag(1e100, 0) against a cutoff of 1e90, which ||B||^2 ||X|| overflows on the way to
+    assert not k.verify_ims(m2.operator(np.diag([1e-300, 0.0])), huge, 1e-300 * m2.eye())
 
 
 def _perturbed_minimizers():
@@ -239,14 +247,17 @@ def test_verify_ims_verdict_is_scale_invariant(scale):
 
 @pytest.mark.parametrize("p,q", SIGNATURES)
 def test_verify_ims_gate_follows_the_spectral_norm(p, q):
-    """At 10x and 0.1x the cutoff, verify_ims's normal-equation gate (trials=0
-    leaves it alone) decides as the SVD of the residual does."""
+    """On a nonnegative range, at 10x and 0.1x the cutoff tol.num ||G|| ||B|| (||B|| ||X||
+    + ||C||), verify_ims decides as the SVD of the gradient B* G (BX - C) does."""
     sp = make_signature_space(p, q, seed=3 * p + q)
     rng = np.random.default_rng(71 + 5 * p + q)
-    num = sp.tol.num
+    g, num = sp.gram, sp.tol.num
+
+    def gradient(x, b, c):
+        return np.linalg.norm(b.matrix.conj().T @ g @ (b @ x - c).matrix, 2)
 
     def cutoff(x, b, c):
-        return num * max(1.0, b.norm() * (b.norm() * x.norm() + c.norm()))
+        return num * sp.gram_norm * b.norm() * (b.norm() * x.norm() + c.norm())
 
     for n_pos in range(1, p + 1):
         for n_neutral in (0, 1) if min(p, q) >= 1 else (0,):
@@ -256,12 +267,43 @@ def test_verify_ims_gate_follows_the_spectral_norm(p, q):
             c = feasible_rhs(sp, b, rng)
             x0 = k.solve_immso(b, c).solution
             y = sp.operator(gaussian(rng, (sp.dim, sp.dim)))
-            step = (b.adjoint() @ b @ y).norm() / cutoff(x0, b, c)
+            step = np.linalg.norm(b.matrix.conj().T @ g @ (b @ y).matrix, 2) / cutoff(x0, b, c)
             for ratio in (10.0, 0.1):
                 x = x0 + y * (ratio / step)
-                measured = (b.adjoint() @ (b @ x - c)).norm() / cutoff(x, b, c)
+                measured = gradient(x, b, c) / cutoff(x, b, c)
                 assert ratio / 2 <= measured <= 2 * ratio
-                assert k.verify_ims(x, b, c, trials=0) == (measured <= 1.0)
+                assert k.verify_ims(x, b, c) == (measured <= 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**20),
+    n=st.integers(2, 4),
+    cond=st.floats(0.0, 5.0),
+    rank=st.none() | st.integers(1, 4),
+    neutral=st.booleans(),
+    ill=st.booleans(),
+    exp=st.integers(-100, 100),
+)
+def test_verify_ims_accepts_minimizers_and_rejects_perturbed_ones(
+    seed, n, cond, rank, neutral, ill, exp
+):
+    """Gram condition up to 1e10, B rank-deficient or with a column scaled by 1e-6, on a
+    definite space or onto neutral directions, B and C scaled together by 10^exp: the
+    solve_ims minimizer passes, and X0 + 1e-6 max(1, ||X0||) Gaussian fails unless
+    R(B) is neutral by construction, where every X is a minimum."""
+    p = n // 2 if neutral else n
+    b, c, x0 = _oracle_instance(seed, n, p, cond, rank, not ill, 0.0, neutral)
+    sp = b.space
+    if ill:
+        b = sp.operator(b.matrix * np.r_[1e-6, np.ones(n - 1)])
+        rep = k.solve_ims(b, c)
+        assume(rep.feasible)
+        x0 = rep.solution
+    b, c = sp.operator(10.0**exp * b.matrix), sp.operator(10.0**exp * c.matrix)
+    assert k.verify_ims(x0, b, c)
+    delta = 1e-6 * max(1.0, x0.norm()) * gaussian(np.random.default_rng(seed), (n, n))
+    assert k.verify_ims(x0 + sp.operator(delta), b, c) == neutral
 
 
 def test_report_records_seed(m2):

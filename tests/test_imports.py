@@ -5,8 +5,9 @@ No linter ships with the project, so this stands in for those two rules with
 the standard library's ast. `__init__.py` only re-exports and is skipped.
 
 The import footprint: `import kreinls` loads no submodule and no numpy, a
-`krein` command loads only the modules it runs, and every public name still
-resolves from the package. Each check runs in a fresh interpreter.
+`krein` command loads only the modules it runs (`ils` never the oracle, `verify`
+no random generator), and every public name still resolves from the package.
+Each check runs in a fresh interpreter.
 """
 
 import ast
@@ -72,19 +73,18 @@ def test_the_check_finds_a_private_import():
 # the public names of the package, by the module that defines them
 PUBLIC = {
     "core": """KreinSpace Operator Subspace SubspaceClass SubspaceKind Tolerances adjoint
-        classify contains_columns decompose_subspace full_subspace indefinite_inner
-        isotropic_part make_space neutral_range nullspace_of orthogonal_companion
-        principal_angles range_inclusion range_of solve_douglas subspace_equal
-        subspace_from_spanning subspace_intersection subspace_sum subspace_within
-        zero_subspace""",
+        classify contains_columns decompose_subspace full_subspace isotropic_part
+        make_space neutral_range nullspace_of orthogonal_companion principal_angles
+        range_inclusion range_of solve_douglas subspace_equal subspace_from_spanning
+        subspace_intersection subspace_sum subspace_within zero_subspace""",
     "errors": """BadProjection DimensionMismatch InfeasibleInstance KreinError NoFactorization
         NotComplementary NotHermitian NotRegular NotSelfadjoint ParseError SingularGram
         SpaceMismatch""",
-    "ils": """SolutionManifold SolveReport has_indefinite_inverse indefinite_inverse
-        indefinite_inverse_in_range regular_range_rank_check solve_imax solve_ims verify_ims""",
+    "ils": """SolutionManifold SolveReport indefinite_inverse indefinite_inverse_in_range
+        regular_range_rank_check solve_imax solve_ims verify_ims""",
     "minmax": """OperatorSplit minmax_value_identity random_fundamental_symmetry solve_immso
         split_operator verify_immso""",
-    "oracle": "Certificate certify_min hilbert_limit_check is_krein_positive operator_leq",
+    "oracle": "Certificate certify_min hilbert_limit_check is_krein_positive",
     "pinv": """GeneralizedInverse GeneralizedInverseKind canonical_pair generalized_inverse
         krein_moore_penrose mp_variational_check one_two_inverse one_two_pair
         rebuild_generalized_inverse reduced_generalized_inverse solve_min_ims_norm""",
@@ -133,6 +133,25 @@ def test_a_command_loads_only_its_modules(argv):
     loaded = set(json.loads(proc.stderr.splitlines()[-1]))
     assert "kreinls.core" in loaded
     assert loaded & SOLVERS == set()
+
+
+def test_ils_does_not_load_the_oracle():
+    script = "import sys, kreinls.ils; print('kreinls.oracle' in sys.modules)"
+    assert _python("-c", script).stdout == "False\n"
+
+
+def test_verify_loads_no_random_generator():
+    """verify decides minimality in closed form: no sampler, so no numpy.random."""
+    script = (
+        "import json, sys\n"
+        "from kreinls import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, 'numpy.random' in sys.modules]), file=sys.stderr)\n"
+    )
+    argv = ["verify", "--space", "m2.json", "--b", "b1.json", "--c", "eye2.json", "--x", "b1.json"]
+    proc = _python("-c", script, *argv, cwd=Path(__file__).parent / "data")
+    assert json.loads(proc.stdout)["verdict"] is True
+    assert json.loads(proc.stderr.splitlines()[-1]) == [0, False]
 
 
 def test_every_public_name_resolves_from_the_package():

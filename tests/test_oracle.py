@@ -31,7 +31,7 @@ def test_positivity_fixtures(m2):
 def test_positivity_witness_reproduces_violation(m2):
     cert = k.is_krein_positive(m2.eye())
     x = cert.witness
-    assert k.indefinite_inner(m2, m2.eye().matrix @ x, x).real < 0
+    assert np.vdot(x, m2.gram @ x).real < 0
 
 
 def test_positivity_skew_witness(m2):
@@ -39,13 +39,14 @@ def test_positivity_skew_witness(m2):
     cert = k.is_krein_positive(t)
     assert not cert.verdict
     x = cert.witness
-    assert abs(k.indefinite_inner(m2, t.matrix @ x, x).imag) > 1e-3
+    assert abs(np.vdot(x, m2.gram @ (t.matrix @ x)).imag) > 1e-3
 
 
 def test_operator_leq(m2):
-    j = m2.operator(m2.j)
-    assert k.operator_leq(m2.zero(), j).verdict
-    assert not k.operator_leq(j, m2.zero()).verdict
+    """S <= T in the positive-operator order when T - S is Krein positive."""
+    s, t = m2.zero(), m2.operator(m2.j)
+    assert k.is_krein_positive(t - s).verdict
+    assert not k.is_krein_positive(s - t).verdict
 
 
 def test_certify_min_accepts_solver_output(m2):
@@ -364,7 +365,7 @@ def test_is_krein_positive_on_ill_conditioned_grams():
             assert cert.verdict, (n, seed, cert.min_eigen_seen)
             cert = k.is_krein_positive(b)
             assert not cert.verdict, (n, seed)
-            form = k.indefinite_inner(b.space, b.matrix @ cert.witness, cert.witness)
+            form = np.vdot(cert.witness, b.space.gram @ (b.matrix @ cert.witness))
             assert abs(form.imag) > k.core.SYM_TOL * b.space.gram_norm * b.norm(), (n, seed)
     hermitian = 0
     for n in (2, 3, 4):
@@ -411,8 +412,6 @@ def test_certify_min_rejects_negative_trials(m2):
     x0 = k.solve_ims(b, c).solution
     with pytest.raises(k.KreinError):
         k.certify_min(b, c, x0, trials=-5)
-    with pytest.raises(k.KreinError):
-        k.verify_ims(x0, b, c, trials=-1)
     assert k.certify_min(b, c, x0, trials=0) == k.Certificate(True, None, 0, 0.0)
 
 
