@@ -175,7 +175,7 @@ def _verify(space, args):
 
     b, c, x = (_operator(space, args, flag) for flag in "bcx")
     verdict = verify_ims(x, b, c)
-    residual = (b.adjoint() @ (b @ x - c)).norm()
+    residual = np.linalg.norm(b.matrix.conj().T @ space.gram @ (b @ x - c).matrix, 2)  # B* G R0
     return (0 if verdict else 2), {"verdict": verdict, "residuals": {"normal_equation": residual}}
 
 

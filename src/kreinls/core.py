@@ -398,9 +398,16 @@ def pseudo_inverse(t):
     return Operator(t.space, left @ right, _copy=False)
 
 
-def adjoint(t):
-    """Indefinite adjoint of an operator (G^-1 T* G in coordinates)."""
-    return t.adjoint()
+@per_instance
+def classical_form(t):
+    """(U, U* G, H = (U* G) U), U = T / 2^e an Operator (scaled_to_unit): T* G T = 4^e H, read
+    with no inverse of G and no overflow. The only code that forms T* G T; H is not symmetrized."""
+    unit = Operator(t.space, scaled_to_unit(t.matrix)[0], _copy=False)
+    ug = unit.matrix.conj().T @ t.space.gram
+    ug.setflags(write=False)
+    h = ug @ unit.matrix
+    h.setflags(write=False)
+    return unit, ug, h
 
 
 # ---------------------------------------------------------------------------
@@ -788,9 +795,6 @@ def solve_douglas(y, z):
 
 
 def neutral_range(t):
-    """True iff R(T) consists of neutral vectors, i.e. T#T vanishes.
-
-    Tested on T scaled to a unit largest entry (scaled_to_unit): U#U cannot overflow.
-    """
-    unit = Operator(t.space, scaled_to_unit(t.matrix)[0])
-    return negligible((unit.adjoint() @ unit).matrix, (unit, unit))
+    """R(T) is neutral: herm(H) of the classical form is roundoff, against (U, U, ||G||)."""
+    unit, _, h = classical_form(t)
+    return negligible(herm(h), (unit, unit, t.space.gram_norm))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     Operator,
+    classical_form,
     full_subspace,
     herm,
     isotropic_part,
@@ -27,7 +28,6 @@ from .core import (
     pseudo_inverse_factors,
     range_of,
     same_space,
-    scaled_to_unit,
     sum_with_companion_contains,
 )
 from .errors import KreinError
@@ -241,10 +241,11 @@ STATIONARY = Problem((RANGE_INCLUSION,), _normal_equation_answer, _stationary_ce
 
 
 def regular_range_rank_check(b):
-    """The remark R(B#) = R(B#B) on dimensions: rank B = dim S and dim R(B#B) = dim S_reg
-    for S = R(B), as B# kills S's isotropic part and is injective on S_reg. They agree
-    exactly when S is regular, so the remark is the classification of R(B), not a check."""
-    return range_of(b).classification.regular
+    """The remark R(B#) = R(B#B) on dimensions: rank B#B = rank H (the classical form),
+    the |eigenvalues| of herm(H) above neutral_cutoff ||U||_F^2, is rank B iff R(B) is regular."""
+    unit, _, h = classical_form(b)
+    cutoff = b.space.neutral_cutoff() * np.linalg.norm(unit.matrix) ** 2
+    return int(np.count_nonzero(abs(np.linalg.eigvalsh(herm(h))) > cutoff)) == range_of(b).dim
 
 
 def _inverse_answer(b, c):
@@ -306,12 +307,10 @@ def solve_imax(b, c, seed=0):
 
 def verify_ims(x, b, c):
     """Accept X iff it minimizes (BX - C)#(BX - C): with R0 = BX - C and H = B* G B, X is
-    one iff B* G R0 = 0 and H >= 0, as G (V(X + E) - V(X)) = E* H E + 2 herm(E* B* G R0).
-    Both are read on U = B / 2^e (scaled_to_unit), whose products cannot overflow, against
-    the roundoff of forming them: one product and one eigvalsh, no inverse of G, no sampling."""
-    unit = Operator(b.space, scaled_to_unit(b.matrix)[0], _copy=False)
-    gu, norm_g = b.space.gram @ unit.matrix, b.space.gram_norm
-    if not negligible(gu.conj().T @ (b @ x - c).matrix, (unit, b, x, norm_g), (unit, c, norm_g)):
+    one iff B* G R0 = 0 and H >= 0, as G (V(X + E) - V(X)) = E* H E + 2 herm(E* B* G R0),
+    both read off the classical form: one product and one eigvalsh, no G^-1, no sampling."""
+    (unit, ug, h), norm_g = classical_form(b), b.space.gram_norm
+    if not negligible(ug @ (b @ x - c).matrix, (unit, b, x, norm_g), (unit, c, norm_g)):
         return False
-    lam = np.linalg.eigvalsh(herm(unit.matrix.conj().T @ gu))[0]
+    lam = np.linalg.eigvalsh(herm(h))[0]
     return lam >= 0.0 or negligible(np.array([lam]), (unit, unit, norm_g))

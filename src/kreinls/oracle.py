@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SYM_TOL, herm, negligible, norm_at_most, nullspace_matrix, same_space
-from .core import scaled_to_unit, spectral_norm
+from .core import SYM_TOL, classical_form, herm, negligible, norm_at_most, nullspace_matrix
+from .core import same_space, spectral_norm
 from .errors import KreinError, SpaceMismatch
 
 
@@ -67,8 +67,8 @@ def certify_min(b, c, x0, trials=1000, seed=0):
     herm(R* G R) - herm(R0* G R0): Hermitian by construction, no inverse of G.
     Competitor t (counted from 0) is a Gaussian matrix when t % 3 == 0, x0
     plus one Gaussian entry when t % 3 == 1, and x0 plus a tangent direction
-    with range inside N(B#B) = N(U* G U), U = B at a unit largest entry
-    (scaled_to_unit), when t % 3 == 2. Deterministic for a fixed seed.
+    with range inside N(B#B) = N(H), H = U* G U the classical form of B
+    (core.classical_form), when t % 3 == 2. Deterministic for a fixed seed.
 
     Competitors come in chunks of stacked (T, n, n) arrays: chunks start at
     one trial and double, up to 2^16 matrix entries per stack. A chunk takes
@@ -105,10 +105,9 @@ def certify_min(b, c, x0, trials=1000, seed=0):
     # ||G V0|| <= floor, so the floor also covers the value at x0
     with np.errstate(over="ignore"):
         floor = sp.gram_norm * np.square(np.float64(b.norm()) * x0.norm() + c.norm())
-    unit = scaled_to_unit(bm)[0]
-    # U* G U: two products, twice one's roundoff ||G||_F ||U||_F^2, ||G||_F <= sqrt(n) ||G||_2
-    roundoff = 2 * np.sqrt(n) * sp.gram_norm * np.linalg.norm(unit) ** 2
-    kernel = nullspace_matrix(sp, unit.conj().T @ g @ unit, roundoff)
+    u, _, h = classical_form(b)
+    # H = U* G U: two products, twice one's roundoff ||G||_F ||U||_F^2, ||G||_F <= sqrt(n) ||G||_2
+    kernel = nullspace_matrix(sp, h, 2 * np.sqrt(n) * sp.gram_norm * np.linalg.norm(u.matrix) ** 2)
     cap = max(1, _CHUNK_ENTRIES // (n * n))
 
     def gaussian(out):

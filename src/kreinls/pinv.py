@@ -61,9 +61,7 @@ class GeneralizedInverse:
     kind: GeneralizedInverseKind
 
 
-def one_two_inverse(b):
-    """The metric pseudoinverse, as the canonical {1,2}-inverse of B."""
-    return pseudo_inverse(b)
+one_two_inverse = pseudo_inverse  # the metric pseudoinverse, B's canonical {1,2}-inverse
 
 
 def one_two_pair(b):

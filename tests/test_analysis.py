@@ -322,19 +322,20 @@ VALIDATED = {
 # angles, and the remark by two re-spanned ranks, cost 472, 472, 552, 160 and 160 SVDs;
 # reading the kept subspaces leaves the SVD of the reduced inverse's hilbert_pinv (80)
 # and the certificates' printed norms (160): every QT - T test is decided by Frobenius
-# brackets, with no spectral norm
+# brackets, with no spectral norm. The remark counts rank H on one eigvalsh of the
+# classical form per instance (80), and no SVD
 VALIDATION_BUDGET = {
     "generalized_inverse": {},
     "rebuild_generalized_inverse": {},
     "reduced_generalized_inverse": {"svd": 80},
     "one_two_pair": {},
-    "indefinite_inverse_certificates": {"norm2": 160},
+    "indefinite_inverse_certificates": {"eigvalsh": 80, "norm2": 160},
 }
 
 
 def test_validation_budget(monkeypatch):
     """Validating a projection reads the kept subspace it must project onto: no span,
-    no principal angle; the rank remark reads the kept range analysis."""
+    no principal angle; the rank remark reads the classical form and the kept range."""
     counts = _count_factorizations(monkeypatch)
     got = {name: collections.Counter() for name in VALIDATION_BUDGET}
     for b, c in INSTANCES:
@@ -413,9 +414,9 @@ def test_boolean_certificates_hold_on_every_feasible_report(exp):
 VALUED =("solve_ims", "solve_immso", "solve_min_ims_norm")
 
 
-# INSTANCES, then the degenerate draws on which the remark, when it decided its two
-# ranks by the rank rule, disagreed with the classification at the neutral cutoff; it
-# now reads the classification, so these guard against a second rule coming back
+# INSTANCES, then the degenerate draws on which the remark, when it decided rank B#B by
+# the rank rule, disagreed with the classification at the neutral cutoff; it now counts
+# rank H of the classical form at the neutral cutoff, so these guard the rule it uses
 REMARK_CASES = [b for b, _ in INSTANCES] + [
     degenerate_instance(seed)[0] for seed in (67, 137, 221, 323, 351)
 ]
@@ -423,10 +424,54 @@ REMARK_CASES = [b for b, _ in INSTANCES] + [
 
 @pytest.mark.parametrize("index", range(len(REMARK_CASES)))
 def test_regularity_rank_remark_agrees_with_the_classification(index):
-    """The remark R(B#) = R(B#B) is the kept classification of R(B), no second rule."""
+    """The remark R(B#) = R(B#B), counted on the classical form, is the classification of
+    R(B), decided on its kept restricted Gram."""
     b = REMARK_CASES[index]
     remark = k.indefinite_inverse(b).certificates["regularity_rank_remark"]
     assert remark == k.range_of(b).classification.regular
+
+
+REMARK_SCALES = (0, 100, -100, 300, -300)
+
+
+def _ill_conditioned(b, factor, exp):
+    """B with its first column times factor, and all of it times 10^exp."""
+    return b.space.operator(b.matrix * np.r_[factor, np.ones(b.space.dim - 1)] * 10.0**exp)
+
+
+@pytest.mark.parametrize("exp", REMARK_SCALES)
+@pytest.mark.parametrize("factor", (1e-3, 1e-6))
+def test_regularity_rank_remark_agrees_on_ill_conditioned_degenerate_ranges(factor, exp):
+    """degenerate_instance seeds 0-399 with a column scaled down and B scaled by 10^exp:
+    H keeps an isotropic direction of R(B) as roundoff, at least 7 decades below the
+    cutoff, and every other direction at least 5 decades above it."""
+    for seed in range(400):
+        b = _ill_conditioned(degenerate_instance(seed)[0], factor, exp)
+        assert k.regular_range_rank_check(b) == k.range_of(b).classification.regular, seed
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        1e-3,
+        pytest.param(
+            1e-6,
+            marks=pytest.mark.xfail(
+                strict=True, reason="rank H is cut at ||U||_F^2, not at B's conditioning"
+            ),
+        ),
+    ],
+)
+def test_regularity_rank_remark_reads_ill_conditioned_regular_ranges_as_regular(factor):
+    """The regular ranges of INSTANCES with a column scaled down, at every scale. H's
+    eigenvalues are those of the restricted Gram times up to sigma_min(B)^2, so at 1e-6 a
+    full-rank B (4 of the 40) leaves one below the neutral cutoff times ||U||_F^2."""
+    for b, _ in INSTANCES:
+        if k.range_of(b).classification.regular:
+            for exp in REMARK_SCALES:
+                scaled = _ill_conditioned(b, factor, exp)
+                regular = k.range_of(scaled).classification.regular
+                assert k.regular_range_rank_check(scaled) == regular, exp
 
 
 @pytest.mark.parametrize("index", range(len(INSTANCES)))

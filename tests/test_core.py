@@ -30,6 +30,7 @@ from kreinls.core import (
     spectral_norm,
 )
 from test_analysis import _count_factorizations
+from test_oracle import _oracle_instance
 from test_projections import SHAPES, _conditioned_space
 from test_properties import degenerate_instance
 
@@ -520,6 +521,18 @@ def test_neutral_range(m2):
     assert k.neutral_range(b2)
     assert k.neutral_range(m2.zero())
     assert not k.neutral_range(m2.operator(np.diag([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("cond", (0.0, 3.0, 4.0, 5.0))
+def test_neutral_range_holds_at_every_gram_condition(cond):
+    """B onto neutral directions (B#B = 0 by construction) is neutral and a Gaussian B is
+    not, at Gram condition up to 1e10: the classical form U* G U carries no G^-1, whose
+    roundoff in U#U read as a non-neutral part from cond(G) = 1e8 on."""
+    for n in (2, 3, 4):
+        for seed in range(60):
+            neutral = _oracle_instance(seed, n, n // 2, cond, None, False, 0.0, True)[0]
+            assert k.neutral_range(neutral), (n, seed)
+            assert not k.neutral_range(_oracle_instance(seed, n, n // 2, cond)[0]), (n, seed)
 
 
 def test_rank_override():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -17,6 +17,7 @@ from conftest import (
     random_subspace,
     subspace_choices,
 )
+from kreinls.core import classical_form, herm, negligible
 from test_oracle import _oracle_instance
 from test_properties import degenerate_instance
 
@@ -275,6 +276,32 @@ def test_verify_ims_gate_follows_the_spectral_norm(p, q):
                 assert k.verify_ims(x, b, c) == (measured <= 1.0)
 
 
+def _stationary(x, b, c):
+    """The stationary row of the classical form: U* G R0 negligible, R0 = BX - C."""
+    unit, ug, _ = classical_form(b)
+    norm_g = b.space.gram_norm
+    return negligible(ug @ (b @ x - c).matrix, (unit, b, x, norm_g), (unit, c, norm_g))
+
+
+def _maximal(x, b, c):
+    """The max row: stationary, and the largest eigenvalue of herm(H) <= 0 or negligible."""
+    unit, _, h = classical_form(b)
+    lam = np.linalg.eigvalsh(herm(h))[-1]
+    return _stationary(x, b, c) and (
+        lam <= 0.0 or negligible(np.array([lam]), (unit, unit, b.space.gram_norm))
+    )
+
+
+# (solver, inertia p of a draw not onto neutral directions, the check of its row): the
+# minimum on a positive definite space, the maximum on a negative definite one, and the
+# stationary problem on an indefinite one
+ROWS = (
+    (k.solve_ims, lambda n: n, k.verify_ims),
+    (k.solve_imax, lambda n: 0, _maximal),
+    (k.solve_immso, lambda n: n // 2, _stationary),
+)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**20),
@@ -288,22 +315,24 @@ def test_verify_ims_gate_follows_the_spectral_norm(p, q):
 def test_verify_ims_accepts_minimizers_and_rejects_perturbed_ones(
     seed, n, cond, rank, neutral, ill, exp
 ):
-    """Gram condition up to 1e10, B rank-deficient or with a column scaled by 1e-6, on a
-    definite space or onto neutral directions, B and C scaled together by 10^exp: the
-    solve_ims minimizer passes, and X0 + 1e-6 max(1, ||X0||) Gaussian fails unless
-    R(B) is neutral by construction, where every X is a minimum."""
-    p = n // 2 if neutral else n
-    b, c, x0 = _oracle_instance(seed, n, p, cond, rank, not ill, 0.0, neutral)
-    sp = b.space
-    if ill:
-        b = sp.operator(b.matrix * np.r_[1e-6, np.ones(n - 1)])
-        rep = k.solve_ims(b, c)
-        assume(rep.feasible)
+    """Gram condition up to 1e10, B rank-deficient or with a column scaled by 1e-6, on the
+    row's space (ROWS) or onto neutral directions, B and C scaled together by 10^exp: each
+    row's solution passes its check (verify_ims for the minimum, the classical form's max
+    and stationary rows), and X0 + 1e-6 max(1, ||X0||) Gaussian fails unless R(B) is
+    neutral by construction, where every X is a solution of every row."""
+    for solve, inertia, check in ROWS:
+        p = n // 2 if neutral else inertia(n)
+        b, c, _ = _oracle_instance(seed, n, p, cond, rank, False, 0.0, neutral)
+        sp = b.space
+        if ill:
+            b = sp.operator(b.matrix * np.r_[1e-6, np.ones(n - 1)])
+        rep = solve(b, c)
+        assert rep.feasible, solve.__name__
         x0 = rep.solution
-    b, c = sp.operator(10.0**exp * b.matrix), sp.operator(10.0**exp * c.matrix)
-    assert k.verify_ims(x0, b, c)
-    delta = 1e-6 * max(1.0, x0.norm()) * gaussian(np.random.default_rng(seed), (n, n))
-    assert k.verify_ims(x0 + sp.operator(delta), b, c) == neutral
+        b, c = sp.operator(10.0**exp * b.matrix), sp.operator(10.0**exp * c.matrix)
+        assert check(x0, b, c), solve.__name__
+        delta = 1e-6 * max(1.0, x0.norm()) * gaussian(np.random.default_rng(seed), (n, n))
+        assert check(x0 + sp.operator(delta), b, c) == neutral, solve.__name__
 
 
 def test_report_records_seed(m2):

@@ -72,8 +72,8 @@ def test_the_check_finds_a_private_import():
 
 # the public names of the package, by the module that defines them
 PUBLIC = {
-    "core": """KreinSpace Operator Subspace SubspaceClass SubspaceKind Tolerances adjoint
-        classify contains_columns decompose_subspace full_subspace isotropic_part
+    "core": """KreinSpace Operator Subspace SubspaceClass SubspaceKind Tolerances classify
+        contains_columns decompose_subspace full_subspace isotropic_part
         make_space neutral_range nullspace_of orthogonal_companion principal_angles
         range_inclusion range_of solve_douglas subspace_equal subspace_from_spanning
         subspace_intersection subspace_sum subspace_within zero_subspace""",

@@ -7,9 +7,11 @@ what these keep. The floor, the roundoff scale of forming the factored matrix,
 is a required argument, so no call can leave it out. No linter ships with the
 project, so the standard library's ast checks that no other function reaches
 for the count. It checks the same of `scaled_to_unit`, the one function that
-picks a power of two to scale by (the only referrer of `frexp`), and of
-`negligible`, the one norm test that reads `tol.num`: every other norm threshold
-is a coefficient and terms passed to `norm_at_most`, never a callable. And no
+picks a power of two to scale by (the only referrer of `frexp`, read outside
+`core` only through `classical_form`); of `classical_form`, the only code that
+forms T* G T, whose readers never reach for the adjoint and so never read G^-1;
+and of `negligible`, the one norm test that reads `tol.num`: every other norm
+threshold is a coefficient and terms passed to `norm_at_most`, never a callable. And no
 library decision reads a principal angle: `ANGLE_TOL` serves only the public
 `subspace_within` and `subspace_equal`.
 """
@@ -53,6 +55,40 @@ def test_one_function_picks_a_power_of_two():
     for path in PACKAGE.glob("*.py"):
         found |= _referrers(path.read_text(), "frexp")
     assert found == {"scaled_to_unit"}
+
+
+def _referrers_in_package(name):
+    """(module, function) pairs of the package that mention `name`."""
+    return {
+        (path.stem, owner)
+        for path in PACKAGE.glob("*.py")
+        for owner in _referrers(path.read_text(), name)
+    }
+
+
+def test_the_scaling_rule_is_read_only_in_core():
+    """Every other reader of a unit-scaled operator takes it from classical_form."""
+    assert _referrers_in_package("scaled_to_unit") == {
+        ("core", "_product"),
+        ("core", "_spectral_bracket"),
+        ("core", "classical_form"),
+        ("core", "contains_columns"),
+    }
+
+
+# the readers of the classical form H = U* G U: every neutrality, extremality and rank
+# question about T#T is asked of H, with no inverse of G
+CLASSICAL_FORM_READERS = {
+    ("core", "neutral_range"),
+    ("ils", "regular_range_rank_check"),
+    ("ils", "verify_ims"),
+    ("oracle", "certify_min"),
+}
+
+
+def test_one_classical_form_per_operator():
+    assert _referrers_in_package("classical_form") == CLASSICAL_FORM_READERS
+    assert not _referrers_in_package("adjoint") & CLASSICAL_FORM_READERS
 
 
 def test_one_norm_test_reads_the_residual_tolerance():
@@ -99,12 +135,7 @@ ANGLE_RULE_REFERRERS = {
 
 def test_no_library_decision_reads_a_principal_angle():
     for name, allowed in ANGLE_RULE_REFERRERS.items():
-        found = {
-            (path.stem, owner)
-            for path in PACKAGE.glob("*.py")
-            for owner in _referrers(path.read_text(), name)
-        }
-        assert found == allowed, name
+        assert _referrers_in_package(name) == allowed, name
 
 
 def test_the_check_finds_every_referrer():
