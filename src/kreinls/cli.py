@@ -21,6 +21,7 @@ from . import matio
 from .core import (
     Operator,
     Tolerances,
+    classical_form,
     decompose_subspace,
     orthogonal_companion,
     subspace_from_spanning,
@@ -175,7 +176,8 @@ def _verify(space, args):
 
     b, c, x = (_operator(space, args, flag) for flag in "bcx")
     verdict = verify_ims(x, b, c)
-    residual = np.linalg.norm(b.matrix.conj().T @ space.gram @ (b @ x - c).matrix, 2)  # B* G R0
+    unit, ug, _ = classical_form(b)  # B = 2^e U: ||B* G R0|| = 2^e ||U* G R0||, the gated gradient
+    residual = np.linalg.norm(ug @ (b @ x - c).matrix, 2) * (unit.norm() and b.norm() / unit.norm())
     return (0 if verdict else 2), {"verdict": verdict, "residuals": {"normal_equation": residual}}
 
 

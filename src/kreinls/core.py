@@ -398,16 +398,12 @@ def pseudo_inverse(t):
     return Operator(t.space, left @ right, _copy=False)
 
 
-@per_instance
 def classical_form(t):
     """(U, U* G, H = (U* G) U), U = T / 2^e an Operator (scaled_to_unit): T* G T = 4^e H, read
     with no inverse of G and no overflow. The only code that forms T* G T; H is not symmetrized."""
     unit = Operator(t.space, scaled_to_unit(t.matrix)[0], _copy=False)
     ug = unit.matrix.conj().T @ t.space.gram
-    ug.setflags(write=False)
-    h = ug @ unit.matrix
-    h.setflags(write=False)
-    return unit, ug, h
+    return unit, ug, ug @ unit.matrix
 
 
 # ---------------------------------------------------------------------------
@@ -795,6 +791,9 @@ def solve_douglas(y, z):
 
 
 def neutral_range(t):
-    """R(T) is neutral: herm(H) of the classical form is roundoff, against (U, U, ||G||)."""
-    unit, _, h = classical_form(t)
-    return negligible(herm(h), (unit, unit, t.space.gram_norm))
+    """R(T) is neutral: herm(H) of the classical form is negligible against R(T)'s own metric
+    size ||U|| ||M U|| >= ||U* M U||, or is H's roundoff (certify_min's floor): ||G|| ||U||^2
+    alone would read a definite range along G's small eigenvalues as neutral."""
+    (unit, _, h), sp = classical_form(t), t.space
+    floor = (2 * sp.dim**1.5 * _EPS, sp.gram_norm, float(np.linalg.norm(unit.matrix)) ** 2)
+    return negligible(herm(h), (unit, sp.metric @ unit.matrix)) or norm_at_most(herm(h), 1, floor)

@@ -241,11 +241,10 @@ STATIONARY = Problem((RANGE_INCLUSION,), _normal_equation_answer, _stationary_ce
 
 
 def regular_range_rank_check(b):
-    """The remark R(B#) = R(B#B) on dimensions: rank B#B = rank H (the classical form),
-    the |eigenvalues| of herm(H) above neutral_cutoff ||U||_F^2, is rank B iff R(B) is regular."""
-    unit, _, h = classical_form(b)
-    cutoff = b.space.neutral_cutoff() * np.linalg.norm(unit.matrix) ** 2
-    return int(np.count_nonzero(abs(np.linalg.eigvalsh(herm(h))) > cutoff)) == range_of(b).dim
+    """The remark R(B#) = R(B#B) on dimensions: rank B = dim S and dim R(B#B) = dim S_reg
+    for S = R(B), as B# kills S's isotropic part and is injective on S_reg. They agree
+    exactly when S is regular, so the remark is the classification of R(B), not a check."""
+    return range_of(b).classification.regular
 
 
 def _inverse_answer(b, c):

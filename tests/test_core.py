@@ -24,6 +24,7 @@ from conftest import (
 from kreinls.core import (
     _spectral_bracket,
     contains_columns,
+    herm,
     krein_orthogonal,
     negligible,
     norm_at_most,
@@ -523,16 +524,31 @@ def test_neutral_range(m2):
     assert not k.neutral_range(m2.operator(np.diag([1.0, 0.0])))
 
 
-@pytest.mark.parametrize("cond", (0.0, 3.0, 4.0, 5.0))
+def _small_eigenvalue_range(seed, n, cond):
+    """(space, T): Gram condition 10^(2 cond), R(T) the line of G's smallest |eigenvalue|."""
+    rng = np.random.default_rng(seed)
+    d = np.concatenate([np.ones(n // 2), -np.ones(n - n // 2)]) * np.logspace(-cond, cond, n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    sp = k.make_space(herm(q @ np.diag(d) @ q.T))
+    return sp, sp.operator(np.outer(q[:, np.argmin(abs(d))], rng.standard_normal(n)))
+
+
+@pytest.mark.parametrize("cond", (0.0, 3.0, 4.0, 5.0, 5.5, 6.0))
 def test_neutral_range_holds_at_every_gram_condition(cond):
     """B onto neutral directions (B#B = 0 by construction) is neutral and a Gaussian B is
-    not, at Gram condition up to 1e10: the classical form U* G U carries no G^-1, whose
-    roundoff in U#U read as a non-neutral part from cond(G) = 1e8 on."""
+    not, at Gram condition up to 1e12: the classical form U* G U carries no G^-1, whose
+    roundoff in U#U read as a non-neutral part from cond(G) = 1e8 on. A range on the line
+    of G's smallest |eigenvalue| is not neutral either: it is told by its own size in the
+    metric, not by ||G|| ||T||^2, which it falls under by more than tol.num from 1e10 on."""
+    for sign in (1.0, -1.0):
+        sp = k.make_space(np.diag([1.0, sign * 10.0 ** (-2 * cond)]))
+        assert not k.neutral_range(sp.operator(np.diag([0.0, 1.0]))), sign
     for n in (2, 3, 4):
         for seed in range(60):
             neutral = _oracle_instance(seed, n, n // 2, cond, None, False, 0.0, True)[0]
             assert k.neutral_range(neutral), (n, seed)
             assert not k.neutral_range(_oracle_instance(seed, n, n // 2, cond)[0]), (n, seed)
+            assert not k.neutral_range(_small_eigenvalue_range(seed, n, cond)[1]), (n, seed)
 
 
 def test_rank_override():

@@ -17,7 +17,6 @@ from conftest import (
     random_subspace,
     subspace_choices,
 )
-from kreinls.core import classical_form, herm, negligible
 from test_oracle import _oracle_instance
 from test_properties import degenerate_instance
 
@@ -276,29 +275,19 @@ def test_verify_ims_gate_follows_the_spectral_norm(p, q):
                 assert k.verify_ims(x, b, c) == (measured <= 1.0)
 
 
-def _stationary(x, b, c):
-    """The stationary row of the classical form: U* G R0 negligible, R0 = BX - C."""
-    unit, ug, _ = classical_form(b)
-    norm_g = b.space.gram_norm
-    return negligible(ug @ (b @ x - c).matrix, (unit, b, x, norm_g), (unit, c, norm_g))
-
-
 def _maximal(x, b, c):
-    """The max row: stationary, and the largest eigenvalue of herm(H) <= 0 or negligible."""
-    unit, _, h = classical_form(b)
-    lam = np.linalg.eigvalsh(herm(h))[-1]
-    return _stationary(x, b, c) and (
-        lam <= 0.0 or negligible(np.array([lam]), (unit, unit, b.space.gram_norm))
-    )
+    """X maximizes (BX - C)#(BX - C) in (C^n, G) iff it minimizes it in (C^n, -G)."""
+    neg = k.make_space(-b.space.gram)
+    return k.verify_ims(*(neg.operator(t.matrix) for t in (x, b, c)))
 
 
-# (solver, inertia p of a draw not onto neutral directions, the check of its row): the
-# minimum on a positive definite space, the maximum on a negative definite one, and the
-# stationary problem on an indefinite one
+# (solver, inertia p of a draw not onto neutral directions, the library check of its row):
+# the minimum on a positive definite space, the maximum on a negative definite one (read
+# as the minimum of the negated form), and the stationary problem on an indefinite one
 ROWS = (
     (k.solve_ims, lambda n: n, k.verify_ims),
     (k.solve_imax, lambda n: 0, _maximal),
-    (k.solve_immso, lambda n: n // 2, _stationary),
+    (k.solve_immso, lambda n: n // 2, k.verify_immso),
 )
 
 
@@ -317,9 +306,9 @@ def test_verify_ims_accepts_minimizers_and_rejects_perturbed_ones(
 ):
     """Gram condition up to 1e10, B rank-deficient or with a column scaled by 1e-6, on the
     row's space (ROWS) or onto neutral directions, B and C scaled together by 10^exp: each
-    row's solution passes its check (verify_ims for the minimum, the classical form's max
-    and stationary rows), and X0 + 1e-6 max(1, ||X0||) Gaussian fails unless R(B) is
-    neutral by construction, where every X is a solution of every row."""
+    row's solution passes its library check (verify_ims for the minimum and, on -G, the
+    maximum; verify_immso for the stationary problem), and X0 + 1e-6 max(1, ||X0||)
+    Gaussian fails unless R(B) is neutral by construction, where every X solves every row."""
     for solve, inertia, check in ROWS:
         p = n // 2 if neutral else inertia(n)
         b, c, _ = _oracle_instance(seed, n, p, cond, rank, False, 0.0, neutral)

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import kreinls as k
 from conftest import feasible_rhs, gaussian, operator_with_range, random_subspace
+from test_core import _small_eigenvalue_range
 from test_oracle import _oracle_instance
 
 B1 = np.diag([1.0, 0.0])
@@ -91,14 +92,24 @@ def test_verify_immso_rejects_at_every_scale(m4, scale):
     assert not k.verify_immso(m4.zero(), b, c * 1e-12)
 
 
-@pytest.mark.parametrize("cond", (0.0, 3.0, 4.0, 5.0))
+@pytest.mark.parametrize("cond", (0.0, 3.0, 4.0, 5.0, 5.5, 6.0))
 def test_verify_immso_accepts_every_z_on_a_neutral_range(cond):
     """B onto neutral directions and C = B Γ give B#B = 0 and B#C = 0, so every Z is
-    stationary: a Gaussian Z passes at Gram condition up to 1e10."""
+    stationary: a Gaussian Z passes at Gram condition up to 1e12."""
     for n in (2, 3, 4):
         for seed in range(60):
             b, c, z = _oracle_instance(seed, n, n // 2, cond, None, False, 0.0, True)
             assert k.verify_immso(z, b, c), (n, seed)
+
+
+@pytest.mark.parametrize("cond", (5.0, 5.5, 6.0))
+def test_verify_immso_rejects_a_gap_along_a_small_eigenvalue_of_g(cond):
+    """B = I and C = 0 leave Z = 0 alone stationary: Z0 = T on the line of G's smallest
+    |eigenvalue| has a definite gap R(Z0), rejected at Gram condition 1e10 to 1e12."""
+    for n in (2, 3, 4):
+        for seed in range(60):
+            sp, t = _small_eigenvalue_range(seed, n, cond)
+            assert not k.verify_immso(t, sp.eye(), sp.zero()), (n, seed)
 
 
 def test_verify_immso_infeasible_raises(m2):

@@ -76,11 +76,12 @@ def test_the_scaling_rule_is_read_only_in_core():
     }
 
 
-# the readers of the classical form H = U* G U: every neutrality, extremality and rank
-# question about T#T is asked of H, with no inverse of G
+# the readers of the classical form H = U* G U: every neutrality and extremality question
+# about T#T is asked of H, and the gradient U* G R0 that krein verify prints is read off
+# its U* G, with no inverse of G
 CLASSICAL_FORM_READERS = {
+    ("cli", "_verify"),
     ("core", "neutral_range"),
-    ("ils", "regular_range_rank_check"),
     ("ils", "verify_ims"),
     ("oracle", "certify_min"),
 }
