@@ -21,8 +21,8 @@ from . import matio
 from .core import (
     Operator,
     Tolerances,
-    classical_form,
     decompose_subspace,
+    normal_equation_residual,
     orthogonal_companion,
     subspace_from_spanning,
 )
@@ -175,9 +175,7 @@ def _verify(space, args):
     from .ils import verify_ims
 
     b, c, x = (_operator(space, args, flag) for flag in "bcx")
-    verdict = verify_ims(x, b, c)
-    unit, ug, _ = classical_form(b)  # B = 2^e U: ||B* G R0|| = 2^e ||U* G R0||, the gated gradient
-    residual = np.linalg.norm(ug @ (b @ x - c).matrix, 2) * (unit.norm() and b.norm() / unit.norm())
+    verdict, residual = verify_ims(x, b, c), normal_equation_residual(b, x, c)
     return (0 if verdict else 2), {"verdict": verdict, "residuals": {"normal_equation": residual}}
 
 

@@ -790,10 +790,26 @@ def solve_douglas(y, z):
     return Operator(y.space, pseudo_inverse(y).matrix @ z.matrix)
 
 
+def range_orthogonal(t, y):
+    """R(Y) ⊆ R(T)^[⊥]: U* G V, U and V the scaled_to_unit forms of T and Y, is negligible
+    against R(Y)'s own metric size ||U|| ||M V|| (M the metric), or is the roundoff of forming
+    it, 2 n^1.5 eps ||G|| ||U||_F ||V||_F (certify_min's floor): ||G|| ||U|| ||V|| alone would
+    read an R(Y) along G's small eigenvalues as orthogonal to every range."""
+    (unit, ug, _), sp = classical_form(t), same_space(t, y)
+    other = scaled_to_unit(y.matrix)[0]
+    form = ug @ other
+    fro = (float(np.linalg.norm(a)) for a in (unit.matrix, other))
+    floor = (2 * sp.dim**1.5 * _EPS, sp.gram_norm, *fro)
+    return negligible(form, (unit, sp.metric @ other)) or norm_at_most(form, 1, floor)
+
+
 def neutral_range(t):
-    """R(T) is neutral: herm(H) of the classical form is negligible against R(T)'s own metric
-    size ||U|| ||M U|| >= ||U* M U||, or is H's roundoff (certify_min's floor): ||G|| ||U||^2
-    alone would read a definite range along G's small eigenvalues as neutral."""
-    (unit, _, h), sp = classical_form(t), t.space
-    floor = (2 * sp.dim**1.5 * _EPS, sp.gram_norm, float(np.linalg.norm(unit.matrix)) ** 2)
-    return negligible(herm(h), (unit, sp.metric @ unit.matrix)) or norm_at_most(herm(h), 1, floor)
+    """R(T) is neutral: R(T) ⊆ R(T)^[⊥]."""
+    return range_orthogonal(t, t)
+
+
+def normal_equation_residual(b, x, c):
+    """||B* G (BX - C)||_2 = 2^e ||(U* G)(BX - C)||_2 for B = 2^e U (scaled_to_unit), with no
+    G^-1: the residual_normal_eq a report and krein verify print. inf above the largest float."""
+    unit, e = scaled_to_unit(b.matrix)
+    return float(np.ldexp(spectral_norm(unit.conj().T @ b.space.gram @ (b @ x - c).matrix), e))

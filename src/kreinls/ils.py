@@ -23,6 +23,7 @@ from .core import (
     isotropic_part,
     negligible,
     normal_equation,
+    normal_equation_residual,
     normal_nullspace,
     nullspace_of,
     pseudo_inverse_factors,
@@ -136,20 +137,11 @@ def solve_problem(problem, b, c, seed=0):
     return SolveReport(True, None, conditions, manifold, value, certify, seed)
 
 
-def normal_equation_solution(b, c, metric=None):
-    """Minimum-norm solution X0 = R^-1 (K R^-1)^+ U_reg* G C of B#(BX - C) = 0.
-
-    C must pass the feasibility test. The norm being minimized is the
-    Hilbert-Frobenius norm of the metric: the space's cached one, or another
-    positive-definite metric (e.g. from an alternative fundamental
-    decomposition), whose minimizer drops X0's part along N(B#B).
-    """
+def normal_equation_solution(b, c):
+    """Minimum-norm solution X0 = R^-1 (K R^-1)^+ U_reg* G C of B#(BX - C) = 0 for a feasible C;
+    every other solution is X0 + Y with R(BY) in the isotropic part of R(B)."""
     eq = normal_equation(b)
-    x0 = eq.pinv @ (eq.coupling @ c.matrix)
-    if metric is not None:
-        n = eq.nullspace.basis
-        x0 = x0 - n @ np.linalg.solve(n.conj().T @ metric @ n, n.conj().T @ metric @ x0)
-    return Operator(b.space, x0)
+    return Operator(b.space, eq.pinv @ (eq.coupling @ c.matrix))
 
 
 def krein_square(r):
@@ -205,7 +197,7 @@ def _extremal_certificates(b, c, x0, value, seed):
         y, iso = (b @ x0 - q @ c).matrix, isotropic_part(range_sub).basis
         residual = y - iso @ (iso.conj().T @ (b.space.metric @ y))
         certs["isotropic_containment"] = negligible(residual, (b, x0), (q, c))
-    return (b.adjoint() @ (b @ x0 - c)).norm(), certs
+    return normal_equation_residual(b, x0, c), certs
 
 
 MINIMUM = Problem(
@@ -234,7 +226,7 @@ def _stationary_certificates(b, c, x0, value, seed):
         q = selfadjoint_projection(range_sub).op
         certs["value_formula_residual"] = _value_formula_residual(value, c, q)
         certs["projected_equation_residual"] = (b @ x0 - q @ c).norm()
-    return (b.adjoint() @ (b @ x0 - c)).norm(), certs
+    return normal_equation_residual(b, x0, c), certs
 
 
 STATIONARY = Problem((RANGE_INCLUSION,), _normal_equation_answer, _stationary_certificates)
@@ -264,7 +256,7 @@ def _inverse_certificates(b, c, x0=None, value=None, seed=None):
     certs["inner_inverse_residual"] = (bx @ b - b).norm()
     certs["projection_selfadjoint_residual"] = (bx.adjoint() - bx).norm()
     certs["projection_match_residual"] = (bx - selfadjoint_projection(range_of(b)).op).norm()
-    return (b.adjoint() @ (bx - c)).norm(), certs
+    return normal_equation_residual(b, x0, c), certs
 
 
 INVERSE = Problem((RANGE_REGULAR,), _inverse_answer, _inverse_certificates, _inverse_certificates)

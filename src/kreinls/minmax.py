@@ -14,10 +14,9 @@ import numpy as np
 from .core import (
     Operator,
     decompose_subspace,
-    herm,
     negligible,
-    neutral_range,
     range_of,
+    range_orthogonal,
     same_space,
     sum_with_companion_contains,
 )
@@ -56,25 +55,18 @@ def split_operator(b):
 solve_immso = indefinite_inverse_in_range  # the stationary problem B#(BZ - C) = 0
 
 
-def verify_immso(z0, b, c, j=None):
-    """Check Z0 against the stationary problem: R(B(Z0 - Z1)) must be neutral.
-
-    Z1 is the minimum-norm normal-equation solution; it depends on the
-    fundamental symmetry only through the norm being minimized, so an
-    alternative symmetry J' may be supplied (operator or matrix) to run
-    the check in that decomposition's metric.
-    """
-    sp = same_space(z0, b, c, j if isinstance(j, Operator) else None)
+def verify_immso(z0, b, c):
+    """Accept Z0 iff B#(BZ0 - C) = 0. With Z1 the library's solution this is B#B(Z0 - Z1) = 0:
+    the gap B(Z0 - Z1), which lies in R(B), must be Krein-orthogonal to R(B), i.e. lie in its
+    isotropic part; on an indefinite R(B) a neutral gap need not. Any two solutions differ by
+    such a gap, so the choice of Z1 decides nothing."""
+    same_space(z0, b, c)
     if not sum_with_companion_contains(range_of(b), c):
         raise InfeasibleInstance("stationary problem has no solution for this right-hand side")
-    metric = None
-    if j is not None:
-        jm = j.matrix if isinstance(j, Operator) else np.asarray(j, dtype=complex)
-        metric = herm(sp.gram @ jm)
-    z1 = normal_equation_solution(b, c, metric=metric)
+    z1 = normal_equation_solution(b, c)
     gap = b @ (z0 - z1)
     # a gap within the roundoff of forming B (Z0 - Z1) is a zero gap
-    return negligible(gap.matrix, (b, z0), (b, z1)) or neutral_range(gap)
+    return negligible(gap.matrix, (b, z0), (b, z1)) or range_orthogonal(b, gap)
 
 
 def random_fundamental_symmetry(space, rng, scale=0.3):

@@ -21,6 +21,7 @@ from .core import (
     krein_orthogonal,
     negligible,
     normal_equation,
+    normal_equation_residual,
     normal_nullspace,
     nullspace_of,
     per_instance,
@@ -234,13 +235,11 @@ def _min_norm_answer(b, c):
 
 def _min_norm_certificates(b, c, x1, value, seed):
     """R(X1) ⊆ N(B#B)^[⊥], the value's spectrum and X1 = DC; the normal-equation residual."""
-    residual = (b.adjoint() @ (b @ x1 - c)).norm()
-    certs = {
+    return normal_equation_residual(b, x1, c), {
         "range_constraint": krein_orthogonal(normal_nullspace(b).frame, x1),
         "value_spectrum": value_spectrum(value()),
         "ims_consistency": (_min_norm_inverse(b) @ c - x1).norm() / max(1.0, x1.norm()),
     }
-    return residual, certs
 
 
 NULLSPACE_NONNEGATIVE = (

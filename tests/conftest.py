@@ -146,3 +146,22 @@ def infeasible_rhs(space, b, rng):
         return None
     c = feasible_rhs(space, b, rng)
     return space.operator(c.matrix + np.outer(v, gaussian(rng, (space.dim,))))
+
+
+def stationary_in_other_metrics(space, rng, shape, trials=20):
+    """(B, C, Z1, Z_bad, [Z1' per J']): R(B) of inertia `shape`, a feasible C, the library's
+    stationary solution Z1, Z1 plus a Gaussian matrix, and for each of `trials` random
+    fundamental symmetries J' the normal-equation solution of least Frobenius norm in the
+    metric M' = G J': Z1 less its M'-orthogonal projection onto N(B#B)."""
+    b = operator_with_range(space, random_subspace(space, rng, *shape), rng)
+    c = feasible_rhs(space, b, rng)
+    z1 = k.solve_immso(b, c).solution
+    z_bad = space.operator(z1.matrix + gaussian(rng, (space.dim, space.dim)))
+    n = k.core.normal_nullspace(b).basis
+    others = []
+    for _ in range(trials):
+        metric = space.gram @ k.random_fundamental_symmetry(space, rng).matrix
+        metric = (metric + metric.conj().T) / 2.0
+        step = np.linalg.solve(n.conj().T @ metric @ n, n.conj().T @ metric @ z1.matrix)
+        others.append(space.operator(z1.matrix - n @ step))
+    return b, c, z1, z_bad, others

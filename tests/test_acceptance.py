@@ -26,6 +26,7 @@ from conftest import (
     operator_with_range,
     operator_with_range_and_kernel,
     random_subspace,
+    stationary_in_other_metrics,
     subspace_choices,
 )
 
@@ -198,18 +199,11 @@ def test_criterion_5_minmax_suite():
                     assert (vmm - closed).norm() <= 1e-9 * cscale
                     assert (closed - factored).norm() <= 1e-9 * cscale
 
-        sp = SPACES[(2, 2)]
-        s = random_subspace(sp, rng, 1, 1, 0)
-        b = operator_with_range(sp, s, rng)
-        c = feasible_rhs(sp, b, rng)
-        z_good = k.solve_immso(b, c).solution
-        z_bad = sp.operator(z_good.matrix + gaussian(rng, (sp.dim, sp.dim)))
-        assert k.verify_immso(z_good, b, c)
-        assert not k.verify_immso(z_bad, b, c)
-        for _ in range(20):
-            j = k.random_fundamental_symmetry(sp, rng)
-            assert k.verify_immso(z_good, b, c, j=j)
-            assert not k.verify_immso(z_bad, b, c, j=j)
+        for shape in ((1, 1, 0), (1, 0, 1)):  # regular, then degenerate
+            b, c, z_good, z_bad, others = stationary_in_other_metrics(SPACES[(2, 2)], rng, shape)
+            assert k.verify_immso(z_good, b, c)
+            assert not k.verify_immso(z_bad, b, c)
+            assert all(k.verify_immso(z, b, c) for z in others)
 
 
 def test_criterion_6_moore_penrose():

@@ -669,7 +669,8 @@ def _every_public_call(b, c):
         k.verify_ims(ims.solution, b, c)
     if k.solve_immso(b, c).feasible:
         z0 = k.solve_immso(b, c).solution
-        k.verify_immso(z0, b, c, j=k.random_fundamental_symmetry(sp, np.random.default_rng(0)))
+        k.verify_immso(z0, b, c)
+        k.random_fundamental_symmetry(sp, np.random.default_rng(0))
         k.minmax_value_identity(b, c)
 
 

@@ -203,9 +203,7 @@ ACROSS_SPACES = {
     "solve_min_ims_norm": lambda b, far: k.solve_min_ims_norm(b, far(b)),
     "certify_min": lambda b, far: k.certify_min(b, far(b), b, trials=3),
     "verify_immso": lambda b, far: k.verify_immso(b, b, far(b)),
-    "verify_immso_symmetry": lambda b, far: k.verify_immso(
-        b, b, b, j=far(b.space.operator(b.space.j))
-    ),
+    "verify_immso_candidate": lambda b, far: k.verify_immso(far(b), b, b),
     "oblique_projection": lambda b, far: k.oblique_projection(
         k.range_of(b), k.nullspace_of(far(b))
     ),

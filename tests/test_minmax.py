@@ -5,7 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import kreinls as k
-from conftest import feasible_rhs, gaussian, operator_with_range, random_subspace
+from conftest import (
+    feasible_rhs,
+    gaussian,
+    operator_with_range,
+    random_subspace,
+    stationary_in_other_metrics,
+)
 from test_core import _small_eigenvalue_range
 from test_oracle import _oracle_instance
 
@@ -112,22 +118,37 @@ def test_verify_immso_rejects_a_gap_along_a_small_eigenvalue_of_g(cond):
             assert not k.verify_immso(t, sp.eye(), sp.zero()), (n, seed)
 
 
+@pytest.mark.parametrize("cond", (0.0, 3.0, 4.0))
+def test_verify_immso_rejects_a_neutral_gap_that_is_not_isotropic(cond):
+    """Z1 + y w* with By = (f+ + f-)/sqrt 2, f+ and f- the first columns of the space's
+    definite frames, leaves the gap B y w*: a neutral line of the regular R(B) = C^n of a
+    Gaussian B, which is not Krein-orthogonal to R(B), so Z1 + y w* is not stationary."""
+    for n in (2, 3, 4):
+        for seed in range(60):
+            b, c, _ = _oracle_instance(seed, n, n // 2, cond)
+            sp = b.space
+            y = np.linalg.solve(b.matrix, (sp.basis_plus[:, 0] + sp.basis_minus[:, 0]) / np.sqrt(2))
+            w = gaussian(np.random.default_rng(seed), n)
+            z = k.solve_immso(b, c).solution + sp.operator(np.outer(y, w.conj()))
+            assert not k.verify_immso(z, b, c), (n, seed)
+
+
 def test_verify_immso_infeasible_raises(m2):
     with pytest.raises(k.InfeasibleInstance):
         k.verify_immso(m2.eye(), m2.operator(B2), m2.eye())
 
 
 def test_verify_immso_symmetry_independent(m4):
+    """The minimum-norm solution in the metric of any fundamental symmetry J' is stationary
+    and Z1 plus a Gaussian matrix is not. On a degenerate R(B) it differs from the library's
+    Z1 by a gap B(Z1' - Z1) in the isotropic part of R(B), well above roundoff."""
     rng = np.random.default_rng(37)
-    s = random_subspace(m4, rng, n_pos=1, n_neg=1, n_neutral=0)
-    b = operator_with_range(m4, s, rng)
-    c = feasible_rhs(m4, b, rng)
-    z_good = k.solve_immso(b, c).solution
-    z_bad = m4.operator(z_good.matrix + gaussian(rng, (4, 4)))
-    for _ in range(20):
-        j = k.random_fundamental_symmetry(m4, rng)
-        assert k.verify_immso(z_good, b, c, j=j)
-        assert not k.verify_immso(z_bad, b, c, j=j)
+    for shape in ((1, 1, 0), (1, 0, 1)):  # regular, then degenerate
+        b, c, z1, z_bad, others = stationary_in_other_metrics(m4, rng, shape)
+        assert k.verify_immso(z1, b, c) and not k.verify_immso(z_bad, b, c)
+        for z in others:
+            assert k.verify_immso(z, b, c)
+            assert ((b @ (z - z1)).norm() > 1e-3) == (shape[2] > 0)
 
 
 def test_random_fundamental_symmetry_properties(m4):

@@ -9,7 +9,8 @@ project, so the standard library's ast checks that no other function reaches
 for the count. It checks the same of `scaled_to_unit`, the one function that
 picks a power of two to scale by (the only referrer of `frexp`, read outside
 `core` only through `classical_form`); of `classical_form`, the only code that
-forms T* G T, whose readers never reach for the adjoint and so never read G^-1;
+forms T* G T, whose readers, and `normal_equation_residual`, never reach for the
+adjoint or G^-1;
 and of `negligible`, the one norm test that reads `tol.num`: every other norm
 threshold is a coefficient and terms passed to `norm_at_most`, never a callable. And no
 library decision reads a principal angle: `ANGLE_TOL` serves only the public
@@ -73,23 +74,27 @@ def test_the_scaling_rule_is_read_only_in_core():
         ("core", "_spectral_bracket"),
         ("core", "classical_form"),
         ("core", "contains_columns"),
+        ("core", "normal_equation_residual"),
+        ("core", "range_orthogonal"),
     }
 
 
-# the readers of the classical form H = U* G U: every neutrality and extremality question
-# about T#T is asked of H, and the gradient U* G R0 that krein verify prints is read off
-# its U* G, with no inverse of G
+# the readers of the classical form H = U* G U: every extremality question about T#T is
+# asked of H, and every Krein-orthogonality (neutrality, stationarity) of U* G V; with
+# normal_equation_residual, the one owner of the printed ||B* G R0||, none of them reaches
+# for the adjoint or G^-1
 CLASSICAL_FORM_READERS = {
-    ("cli", "_verify"),
-    ("core", "neutral_range"),
+    ("core", "range_orthogonal"),
     ("ils", "verify_ims"),
     ("oracle", "certify_min"),
 }
+NO_INVERSE_OF_G = CLASSICAL_FORM_READERS | {("core", "normal_equation_residual")}
 
 
 def test_one_classical_form_per_operator():
     assert _referrers_in_package("classical_form") == CLASSICAL_FORM_READERS
-    assert not _referrers_in_package("adjoint") & CLASSICAL_FORM_READERS
+    for name in ("adjoint", "_gram_inv"):
+        assert not _referrers_in_package(name) & NO_INVERSE_OF_G, name
 
 
 def test_one_norm_test_reads_the_residual_tolerance():
